@@ -95,17 +95,16 @@ class LassoSolution:
     converged: bool
 
 
-def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float) -> float:
+def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     # g is the scaled correlation (1/N) sum Z.T (r - Z b); stationarity
     # needs g_j = lam * sign(delta_j) on the active set and |g_j| <= lam off it.
-    active = delta != 0.0
-    viol = 0.0
-    if active.any():
-        viol = float(np.max(np.abs(g[active] - lam * np.sign(delta[active]))))
-    inactive = ~active
-    if inactive.any():
-        viol = max(viol, max(0.0, float(np.max(np.abs(g[inactive]))) - lam))
-    return viol
+    # Rows of a 2-d g are separate problems, each with its own lam; g is
+    # overwritten.
+    np.subtract(g, lam, out=g, where=delta > 0.0)
+    np.add(g, lam, out=g, where=delta < 0.0)
+    np.abs(g, out=g)
+    np.subtract(g, lam, out=g, where=delta == 0.0)
+    return g.max(axis=-1, initial=0.0)
 
 
 def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
@@ -152,7 +151,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
                     max_change = moved
         sweeps += 1
         v = a @ b  # fresh product keeps incremental drift out of the tests below
-        kkt = _kkt_violation(qn - v, delta, lam)
+        kkt = float(_kkt_violation(qn - v, delta, lam))
         if max_change <= change_cap and kkt <= kkt_cap:
             converged = True
             break
@@ -304,6 +303,20 @@ def nodewise_precision(
 
     lambda_node = None uses the uniform rule c * sqrt(log p / n); a
     scalar applies to every row and a length-p vector sets each row.
+
+    Row j is the Lasso of column j on the other columns, with Gram
+    pieces taken from G = u.T u / n (van de Geer, Buhlmann, Ritov and
+    Dezeure 2014).  All p problems share G, so one coordinate-descent
+    loop solves them together: the visit to coordinate k updates every
+    live problem j != k at once.  Each problem follows the iterate path
+    of a cold-start `_fit_gram` solve: the same coordinate order, the
+    same skip of zero-variance coordinates, and a fresh G @ gamma after
+    every sweep.  After each sweep a problem passes when its largest
+    coefficient move and its KKT violation are both at most
+    tol * sqrt(G[j, j]); it is then frozen, so it stops on the same sweep
+    as a solve of its own.  Failures are reported for the lowest failing
+    row: ConvergenceError when it used up max_iter sweeps, ValueError
+    when its residual variance is degenerate.
     """
     u = check_matrix(u, "u")
     n, p = u.shape
@@ -321,31 +334,73 @@ def nodewise_precision(
         raise ValueError("nodewise penalties must be nonnegative")
 
     gram = u.T @ u / n
-    theta = np.zeros((p, p))
+    diag = np.diagonal(gram).copy()
+    # stopping thresholds of problem j, scaled by its response RMS as in _fit_gram
+    caps = tol * np.where(diag > 0.0, np.sqrt(diag), 1.0)
+    # Problem-major storage: row c of coef holds gamma for problem order[c]
+    # (zero at its own coordinate) and row c of fitted holds gram @ gamma.
+    # Rows [:m] are the live problems; converged ones are moved behind them.
+    coef = np.zeros((p, p))
+    fitted = np.zeros((p, p))
+    order = np.arange(p)
     tau_sq = np.zeros(p)
-    idx = np.arange(p)
-    for j in range(p):
-        mask = idx != j
-        if p == 1:
-            gamma = np.zeros(0)
-        else:
-            a = gram[np.ix_(mask, mask)]
-            qn = gram[mask, j]
-            r0n = gram[j, j]
-            gamma, _, _, _, converged = _fit_gram(
-                a, qn, r0n, float(lambdas[j]), None, None, tol, max_iter
-            )
-            if not converged:
-                raise ConvergenceError(f"nodewise regression {j} hit {max_iter} sweeps")
-        resid_scale = float(gram[j, j] - (gram[mask, j] @ gamma if p > 1 else 0.0))
-        if resid_scale <= TAU_SQ_FLOOR:
-            raise ValueError(
-                f"nodewise residual variance degenerate at column {j} ({resid_scale:.3e})"
-            )
-        tau_sq[j] = resid_scale
-        theta[j, j] = 1.0 / resid_scale
-        if p > 1:
-            theta[j, mask] = -gamma / resid_scale
+    converged = np.zeros(p, dtype=bool)
+    m = p
+    sweeps = 0
+    while m and sweeps < max_iter:
+        live = order[:m].copy()
+        slot = np.full(p, -1)
+        slot[live] = np.arange(m)
+        hi = lambdas[live]
+        lo = -hi
+        cap = caps[live]
+        gam, fit = coef[:m], fitted[:m]
+        moves = np.zeros(m)
+        for k in range(p):
+            gkk = diag[k]
+            if gkk <= 0.0:
+                continue
+            old = gam[:, k]
+            c = gram[k, live] - fit[:, k] + gkk * old
+            new = (c - np.minimum(np.maximum(c, lo), hi)) / gkk
+            if slot[k] >= 0:
+                new[slot[k]] = 0.0  # problem k does not regress on itself
+            step = new - old
+            rows = step.nonzero()[0]
+            if rows.size:
+                gam[:, k] = new
+                fit[rows] += step[rows, None] * gram[k]
+                np.maximum(moves, np.abs(step), out=moves)
+        sweeps += 1
+        np.matmul(gam, gram, out=fit)  # fresh product keeps incremental drift out of the tests below
+        g = gram[live]
+        g -= fit
+        g[np.arange(m), live] = 0.0  # coordinate j is not a variable of problem j
+        done = (moves <= cap) & (_kkt_violation(g, gam, hi[:, None]) <= cap)
+        del g  # free it before the compaction below makes its own copies
+        if done.any():
+            finished = live[done]
+            tau_sq[finished] = diag[finished] - fit[done, finished]
+            converged[finished] = True
+            keep = np.flatnonzero(~done)
+            perm = np.concatenate([keep, np.flatnonzero(done)])
+            coef[:m] = gam[perm]
+            fitted[: keep.size] = fit[keep]
+            order[:m] = live[perm]
+            m = keep.size
+
+    bad = ~converged | (tau_sq <= TAU_SQ_FLOOR)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not converged[j]:
+            raise ConvergenceError(f"nodewise regression {j} hit {max_iter} sweeps")
+        raise ValueError(
+            f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
+        )
+    theta = fitted  # the work buffer becomes the result
+    theta[order] = coef
+    theta /= -tau_sq[:, None]
+    np.fill_diagonal(theta, 1.0 / tau_sq)
     return PrecisionEstimate(theta=theta, lambdas=lambdas, tau_sq=tau_sq)
 
 

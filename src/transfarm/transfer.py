@@ -9,7 +9,7 @@ keeps those within a threshold of the target-only fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -366,8 +366,14 @@ def detect_and_fit(
     sources: list[Dataset],
     config: TransferConfig | None = None,
 ) -> tuple[TransferFit, DetectionReport]:
-    """Detection followed by the two-step fit on the selected sources."""
+    """Detection followed by the two-step fit on the selected sources.
+
+    Both steps decompose the target the same way, so the fit reuses the
+    target noise scale that detection estimated.
+    """
     config = config or TransferConfig()
     report = detect_sources(target, sources, config)
-    fit = two_step_fit(target, sources, report.selected, config)
+    fit = two_step_fit(
+        target, sources, report.selected, replace(config, sigma_hat=report.sigma_hat)
+    )
     return fit, report

@@ -105,6 +105,25 @@ def split_lasso(blocks, lam, offset=None, max_iter=400000):
     return pos - neg
 
 
+def nodewise_oracle(u, lambdas):
+    """Nodewise precision estimate built row by row: row j regresses
+    column j on the others with split_lasso at penalty lambdas[j].
+
+    Returns (theta, tau_sq) with theta[j, j] = 1 / tau_sq[j] and
+    theta[j, -j] = -gamma_j / tau_sq[j].
+    """
+    n, p = u.shape
+    theta = np.zeros((p, p))
+    tau_sq = np.zeros(p)
+    for j in range(p):
+        others = [k for k in range(p) if k != j]
+        gamma = split_lasso([(u[:, others], u[:, j])], lambdas[j]) if others else np.zeros(0)
+        tau_sq[j] = float(u[:, j] @ (u[:, j] - u[:, others] @ gamma)) / n
+        theta[j, j] = 1.0 / tau_sq[j]
+        theta[j, others] = -gamma / tau_sq[j]
+    return theta, tau_sq
+
+
 def ols(z, r):
     return np.linalg.solve(z.T @ z, z.T @ r)
 

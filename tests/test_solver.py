@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from _oracles import ols, pooled_objective, split_lasso
-from transfarm.numerics import RngStream
+from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
+from transfarm.numerics import ConvergenceError, RngStream
 from transfarm.solver import (
     LassoProblem,
     cv_lambda,
@@ -240,6 +242,57 @@ def test_nodewise_single_column():
     u = np.linspace(1.0, 2.0, 25).reshape(-1, 1)
     est = nodewise_precision(u)
     assert_allclose(est.theta, [[25.0 / float(u.ravel() @ u.ravel())]])
+
+
+@st.composite
+def coupled_designs(draw):
+    p = draw(st.integers(1, 8))
+    n = draw(st.integers(2 * p + 6, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coupling = draw(st.floats(0.0, 0.8))
+    lambdas = draw(st.lists(st.floats(0.01, 0.4), min_size=p, max_size=p))
+    gen = np.random.default_rng(seed)
+    # one shared column couples every nodewise problem to the others
+    u = gen.standard_normal((n, p)) + coupling * gen.standard_normal((n, 1))
+    return u, np.array(lambdas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coupled_designs())
+def test_nodewise_matches_row_by_row_oracle(design):
+    u, lambdas = design
+    p = u.shape[1]
+    est = nodewise_precision(u, lambda_node=lambdas)
+    theta, tau_sq = nodewise_oracle(u, lambdas)
+    assert_allclose(est.theta, theta, atol=1e-6)
+    assert_allclose(est.tau_sq, tau_sq, atol=1e-6)
+    # every row stops where its own solve stops: a problem that kept
+    # sweeping after it converged would drift from lasso_fit
+    for j in range(p if p > 1 else 0):
+        others = np.arange(p) != j
+        alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], float(lambdas[j])))
+        assert_allclose(-est.theta[j, others] * est.tau_sq[j], alone.coef, atol=1e-10)
+
+
+def test_nodewise_reports_lowest_degenerate_column():
+    gen = np.random.default_rng(17)
+    u = gen.standard_normal((30, 7))
+    u[:, 2] = 0.0
+    u[:, 5] = 0.0
+    with pytest.raises(ValueError, match=r"column 2 \("):
+        nodewise_precision(u, lambda_node=0.05)
+
+
+def test_nodewise_reports_lowest_unconverged_row():
+    # row 0's large penalty settles it in one sweep; the coupled rows
+    # after it need more, so row 1 is the one reported
+    gen = np.random.default_rng(18)
+    u = gen.standard_normal((40, 6)) + gen.standard_normal((40, 1))
+    lambdas = np.full(6, 0.01)
+    lambdas[0] = 10.0
+    with pytest.raises(ConvergenceError, match="nodewise regression 1 hit 1 sweeps"):
+        nodewise_precision(u, lambda_node=lambdas, max_iter=1)
+    assert nodewise_precision(u, lambda_node=lambdas).tau_sq[0] > 0
 
 
 # ----------------------------------------------------------------------
