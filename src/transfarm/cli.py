@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from transfarm.inference import full_inference
 from transfarm.numerics import RngStream
-from transfarm.simlab import ALL_ESTIMATORS, SimConfig, run_experiment
+from transfarm.simlab import SimConfig, run_experiment
 from transfarm.transfer import (
     Dataset,
     TransferConfig,
@@ -197,9 +198,12 @@ def _c_group(key, raw):
 
 def _c_int_list(key, raw):
     try:
-        return tuple(int(tok) for tok in str(raw).split(",") if tok.strip() != "")
+        out = tuple(int(tok) for tok in str(raw).split(",") if tok.strip() != "")
     except ValueError:
         raise UsageError(f"invalid integer list for {key}: {raw!r}") from None
+    if not out:
+        raise UsageError(f"{key} needs at least one integer, got {raw!r}")
+    return out
 
 
 def _c_float_list(key, raw):
@@ -214,8 +218,6 @@ def _c_str_list(key, raw):
 
 
 def _c_paths(key, raw):
-    if isinstance(raw, (list, tuple)):
-        return list(raw)
     return [tok.strip() for tok in str(raw).split(",") if tok.strip() != ""]
 
 
@@ -240,31 +242,29 @@ _INFER = [
     ("group", "all", _c_group),
     ("studentized", "true", _c_bool),
 ]
-_SIM = [
-    ("sim_n0", 300, _c_int),
-    ("sim_nk", 300, _c_int),
-    ("sim_p", 500, _c_int),
-    ("sim_s", 20, _c_int),
-    ("sim_k_sources", 10, _c_int),
-    ("sim_a_size", "5", _c_int_list),
-    ("sim_eta", 5.0, _c_float),
-    ("sim_rank", 2, _c_int),
-    ("sim_signal", 0.5, _c_float),
-    ("sim_gamma0", "0.5,0.5", _c_float_list),
-    ("sim_gamma_jitter_informative", 0.1, _c_float),
-    ("sim_gamma_jitter_adversarial", 0.5, _c_float),
-    ("sim_adversarial_mult", 2.0, _c_float),
-    ("sim_rho", 0.5, _c_float),
-    ("sim_cov_spike", 0.3, _c_float),
-    ("sim_loading_width", 1.0, _c_float),
-    ("sim_replications", 30, _c_int),
-    ("sim_roster", ",".join(ALL_ESTIMATORS), _c_str_list),
-    ("sim_fix_rank", "false", _c_bool),
-    ("sim_max_rank", None, _c_int),
-    ("sim_redraw_informative", "true", _c_bool),
-    ("lambda_c", 0.5, _c_float),
-    ("folds", 3, _c_int),
-    ("threshold", "2L0", _c_threshold),
+# SimConfig fields that are set from shared flags, not from a sim_ flag
+_SIM_SHARED = ("base_seed", "lambda_c", "folds", "threshold", "eps0")
+# keyed by annotation text: simlab postpones annotations, so field.type is a string
+_SIM_CONVERTERS = {
+    "int": _c_int,
+    "int | None": _c_int,
+    "float": _c_float,
+    "bool": _c_bool,
+    "tuple[float, ...]": _c_float_list,
+    "tuple[str, ...]": _c_str_list,
+}
+
+
+def _sim_option(f):
+    if f.name == "a_size":
+        # a list of sizes, one SimConfig per value
+        return ("sim_a_size", (f.default,), _c_int_list)
+    return ("sim_" + f.name, f.default, _SIM_CONVERTERS[f.type])
+
+
+_SIM_FIELDS = [f for f in dataclasses.fields(SimConfig) if f.name not in _SIM_SHARED]
+_SIM = [_sim_option(f) for f in _SIM_FIELDS] + [
+    entry for entry in _DATA if entry[0] in ("lambda_c", "folds", "threshold")
 ]
 
 _COMMAND_SPECS = {
@@ -288,11 +288,7 @@ def _build_parser() -> _Parser:
     for name, spec in _COMMAND_SPECS.items():
         p = sub.add_parser(name)
         p.add_argument("--config")
-        seen = set()
         for key, _, _ in spec:
-            if key in seen:
-                continue
-            seen.add(key)
             flag = "--" + key.replace("_", "-") if key != "B" else "--B"
             if key == "source":
                 p.add_argument(flag, action="append", default=None, dest=key)
@@ -335,10 +331,8 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
             raw = file_values[key]
         else:
             raw = default
-        if raw is None:
-            merged[key] = None
-        else:
-            merged[key] = conv(key, raw)
+        # flag and file values are text; typed defaults are used as they are
+        merged[key] = conv(key, raw) if isinstance(raw, str) else raw
     return merged
 
 
@@ -347,8 +341,8 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
 # ======================================================================
 
 
-def _load_datasets(m: dict, need_target=True):
-    if need_target and not m["target"]:
+def _load_datasets(m: dict):
+    if not m["target"]:
         raise UsageError("--target is required")
     x, y, _ = ingest_dataset(m["target"], m["response"])
     target = Dataset(x=x, y=y, role=0)
@@ -359,9 +353,18 @@ def _load_datasets(m: dict, need_target=True):
     return target, sources
 
 
+def _config(cls, **kwargs):
+    # a config the constructor rejects came from bad flag values
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _pipeline_config(m: dict) -> TransferConfig:
     rule, eps0 = m["threshold"]
-    return TransferConfig(
+    return _config(
+        TransferConfig,
         lambda_c=m["lambda_c"],
         rank=m["rank"],
         mode=m["mode"],
@@ -419,8 +422,12 @@ def _cmd_transfer(m: dict) -> int:
 
 def _cmd_infer(m: dict) -> int:
     target, sources = _load_datasets(m)
-    if m["alpha"] is not None and not 0.0 < m["alpha"] < 1.0:
+    if not 0.0 < m["alpha"] < 1.0:
         raise UsageError(f"alpha must lie in (0, 1), got {m['alpha']}")
+    if m["B"] < 1:
+        raise UsageError(f"B must be positive, got {m['B']}")
+    if m["group"] is not None and m["group"][-1] >= target.p:
+        raise UsageError(f"group indices must lie in [1, {target.p}], got {m['group'][-1] + 1}")
     test, cis, _, _ = full_inference(
         target,
         sources,
@@ -445,42 +452,28 @@ def _cmd_infer(m: dict) -> int:
 
 def _cmd_simulate(m: dict) -> int:
     rule, eps0 = m["threshold"]
-    gamma0 = m["sim_gamma0"]
-    if len(gamma0) != m["sim_rank"] and gamma0 == (0.5, 0.5):
+    sim = {f.name: m["sim_" + f.name] for f in _SIM_FIELDS}
+    if len(sim["gamma0"]) != sim["rank"] and sim["gamma0"] == (0.5, 0.5):
         # the stock factor effect follows the configured rank
-        gamma0 = (0.5,) * m["sim_rank"]
-    results_rows = []
-    summary_rows = []
-    total_failures = 0
-    for a_size in m["sim_a_size"]:
-        config = SimConfig(
-            n0=m["sim_n0"],
-            nk=m["sim_nk"],
-            p=m["sim_p"],
-            s=m["sim_s"],
-            k_sources=m["sim_k_sources"],
+        sim["gamma0"] = (0.5,) * sim["rank"]
+    a_sizes = sim.pop("a_size")
+    configs = [
+        _config(
+            SimConfig,
+            **sim,
             a_size=a_size,
-            eta=m["sim_eta"],
-            rank=m["sim_rank"],
-            signal=m["sim_signal"],
-            gamma0=gamma0,
-            gamma_jitter_informative=m["sim_gamma_jitter_informative"],
-            gamma_jitter_adversarial=m["sim_gamma_jitter_adversarial"],
-            adversarial_mult=m["sim_adversarial_mult"],
-            rho=m["sim_rho"],
-            cov_spike=m["sim_cov_spike"],
-            loading_width=m["sim_loading_width"],
-            replications=m["sim_replications"],
             base_seed=m["seed"],
-            roster=m["sim_roster"],
             lambda_c=m["lambda_c"],
             folds=m["folds"],
             threshold=rule,
             eps0=eps0,
-            fix_rank=m["sim_fix_rank"],
-            max_rank=m["sim_max_rank"],
-            redraw_informative=m["sim_redraw_informative"],
         )
+        for a_size in a_sizes
+    ]
+    results_rows = []
+    summary_rows = []
+    total_failures = 0
+    for a_size, config in zip(a_sizes, configs):
         result = run_experiment(config, threads=m["threads"])
         total_failures += len(result.failures)
         for row in result.rows:

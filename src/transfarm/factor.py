@@ -29,9 +29,6 @@ class FactorDecomposition:
     factors has unit-scaled columns (factors.T @ factors / n = I), the
     loadings satisfy loadings = x.T @ factors / n, and idiosyncratic is
     the residual, so x = factors @ loadings.T + idiosyncratic exactly.
-    With an intercept the first design column must be constant one; it is
-    excluded from the eigenanalysis, its loading row is zero, and it is
-    passed through unchanged into the idiosyncratic part.
     """
 
     rank: int
@@ -39,7 +36,6 @@ class FactorDecomposition:
     loadings: np.ndarray
     idiosyncratic: np.ndarray
     gram_eigenvalues: np.ndarray
-    intercept: bool = False
 
     @property
     def n(self) -> int:
@@ -76,7 +72,6 @@ def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
 def decompose(
     x: np.ndarray,
     rank: int | None = None,
-    intercept: bool = False,
     max_rank: int | None = None,
 ) -> FactorDecomposition:
     """Principal-component factor split of a design matrix.
@@ -89,19 +84,11 @@ def decompose(
     n, p = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
-    if intercept:
-        if p < 2:
-            raise ValueError("intercept decomposition needs at least 2 columns")
-        if not np.all(x[:, 0] == 1.0):
-            raise ValueError("intercept flag set but column 1 is not constant one")
-        body = x[:, 1:]
-    else:
-        body = x
-    limit = min(n, body.shape[1])
+    limit = min(n, p)
     if rank is not None and (rank < 0 or rank > limit):
         raise ValueError(f"rank must lie in [0, {limit}], got {rank}")
 
-    gram = body @ body.T
+    gram = x @ x.T
     eig = sym_eig(gram)
     gram_eigenvalues = eig.eigenvalues
     if rank is None:
@@ -117,21 +104,14 @@ def decompose(
         rank = select_rank(gram_eigenvalues, cap)
 
     factors = np.sqrt(n) * eig.eigenvectors[:, :rank]
-    loadings_body = body.T @ factors / n
-    idio_body = body - factors @ loadings_body.T
-    if intercept:
-        loadings = np.vstack([np.zeros((1, rank)), loadings_body])
-        idiosyncratic = np.hstack([np.ones((n, 1)), idio_body])
-    else:
-        loadings = loadings_body
-        idiosyncratic = idio_body
+    loadings = x.T @ factors / n
+    idiosyncratic = x - factors @ loadings.T
     return FactorDecomposition(
         rank=rank,
         factors=factors,
         loadings=loadings,
         idiosyncratic=idiosyncratic,
         gram_eigenvalues=gram_eigenvalues,
-        intercept=intercept,
     )
 
 
@@ -145,11 +125,3 @@ def residualize(y: np.ndarray, decomp: FactorDecomposition) -> np.ndarray:
         return y.copy()
     return y - f @ (f.T @ y) / f.shape[0]
 
-
-def factor_coefficients(y: np.ndarray, decomp: FactorDecomposition) -> np.ndarray:
-    """Regression of y on the unit-scaled factors, i.e. factors.T @ y / n."""
-    y = check_vector(y, "y")
-    f = decomp.factors
-    if y.size != f.shape[0]:
-        raise ValueError(f"y has {y.size} rows, decomposition has {f.shape[0]}")
-    return f.T @ y / f.shape[0]

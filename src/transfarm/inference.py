@@ -160,33 +160,15 @@ def adequacy_test(
     """Test whether the idiosyncratic coefficients are all zero.
 
     Rejects when sqrt(n) times the max-norm of the debiased estimate
-    exceeds the bootstrap 1 - alpha quantile.  The returned intervals are
-    the matching plain simultaneous intervals over all coordinates.
+    exceeds the bootstrap 1 - alpha quantile.  The result is the plain
+    simultaneous intervals over all coordinates with the verdict filled in.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    n, p = u.shape
-    beta_tilde = debias(coef, u, y_tilde, theta)
-    sample = multiplier_bootstrap(
-        u, theta, sigma_hat, rng, draws=draws, group=None, studentized=False
+    res = simultaneous_cis(
+        coef, u, y_tilde, theta, sigma_hat, rng, group=None, alpha=alpha,
+        studentized=False, draws=draws,
     )
-    crit = empirical_quantile(sample, 1.0 - alpha)
-    statistic = math.sqrt(n) * float(np.max(np.abs(beta_tilde)))
-    half = crit / math.sqrt(n)
-    return InferenceResult(
-        beta_tilde=beta_tilde,
-        sigma_hat=float(sigma_hat),
-        group=tuple(range(p)),
-        alpha=alpha,
-        draws=draws,
-        studentized=False,
-        quantile=crit,
-        statistic=statistic,
-        reject=bool(statistic > crit),
-        lower=beta_tilde - half,
-        upper=beta_tilde + half,
-        theta=theta,
-    )
+    res.reject = bool(res.statistic > res.quantile)
+    return res
 
 
 def simultaneous_cis(
@@ -264,9 +246,7 @@ def full_inference(
     decomp = fit.decompositions[0]
     u0 = decomp.idiosyncratic
     y0 = residualize(target.y, decomp)
-    theta = nodewise_precision(
-        u0, lambda_c=config.lambda_c, tol=config.tol, max_iter=config.max_iter
-    )
+    theta = nodewise_precision(u0, lambda_c=config.lambda_c)
     boot = rng.substream(17)
     test = adequacy_test(
         fit.coef, u0, y0, theta, fit.sigma_hat, boot, alpha=alpha, draws=draws

@@ -72,13 +72,6 @@ class RngStream:
         return RngStream(self.seed, self.stream, self.path + key)
 
 
-def standard_normal_matrix(rng: RngStream, rows: int, cols: int) -> np.ndarray:
-    """iid N(0, 1) matrix drawn from the stream's root generator."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return rng.generator().standard_normal((rows, cols))
-
-
 def correlated_normal(rng: RngStream, n: int, cov: np.ndarray) -> np.ndarray:
     """n rows of N(0, cov) via the Cholesky factor of cov.
 

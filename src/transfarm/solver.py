@@ -13,11 +13,11 @@ one pass to accumulate Z.T @ Z per block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import ConvergenceError, RngStream, check_matrix, check_vector
+from transfarm.numerics import ConvergenceError, check_matrix, check_vector
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
@@ -80,10 +80,6 @@ class LassoProblem:
     @property
     def p(self) -> int:
         return self.blocks[0][0].shape[1]
-
-    @property
-    def n_total(self) -> int:
-        return sum(z.shape[0] for z, _ in self.blocks)
 
 
 @dataclass
@@ -171,7 +167,7 @@ def _gram_pieces(blocks):
         h += z.T @ z
         q += z.T @ r
         rss += float(r @ r)
-    return h / n_total, q / n_total, rss / n_total, n_total
+    return h / n_total, q / n_total, rss / n_total
 
 
 def lasso_fit(
@@ -193,7 +189,7 @@ def lasso_fit(
             raise ValueError(
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
-    a, qn, r0n, _ = _gram_pieces(problem.blocks)
+    a, qn, r0n = _gram_pieces(problem.blocks)
     delta, objective, sweeps, kkt, converged = _fit_gram(
         a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter
     )
@@ -246,7 +242,7 @@ def scaled_lasso(
     elif lambda0 < 0:
         raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
 
-    a, qn, r0n, _ = _gram_pieces([(z, r)])
+    a, qn, r0n = _gram_pieces([(z, r)])
     sigma = math.sqrt(r0n)
     if sigma == 0.0:
         raise ValueError("response has zero variance")
@@ -402,64 +398,3 @@ def nodewise_precision(
     theta /= -tau_sq[:, None]
     np.fill_diagonal(theta, 1.0 / tau_sq)
     return PrecisionEstimate(theta=theta, lambdas=lambdas, tau_sq=tau_sq)
-
-
-# ======================================================================
-# cross-validated penalty (alternative tuner, off by default everywhere)
-# ======================================================================
-
-
-def cv_lambda(
-    z: np.ndarray,
-    r: np.ndarray,
-    folds: int = 5,
-    grid_size: int = 30,
-    rng: RngStream | None = None,
-    one_se: bool = False,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """K-fold cross-validated penalty over a log-spaced grid.
-
-    The grid runs from the smallest penalty that zeroes every coefficient
-    down three decades.  one_se picks the largest penalty within one
-    standard error of the best mean validation loss instead of the argmin.
-    """
-    z = check_matrix(z, "z")
-    r = check_vector(r, "r")
-    n = z.shape[0]
-    if r.size != n:
-        raise ValueError(f"z has {n} rows, r has {r.size}")
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must lie in [2, {n}], got {folds}")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size}")
-    lam_max = float(np.max(np.abs(z.T @ r))) / n
-    if lam_max <= 0:
-        return 0.0
-    grid = np.geomspace(lam_max, lam_max * 1e-3, grid_size)
-    rng = RngStream(0) if rng is None else rng
-    order = rng.generator().permutation(n)
-    splits = np.array_split(order, folds)
-
-    losses = np.zeros((folds, grid_size))
-    for k, hold in enumerate(splits):
-        keep = np.setdiff1d(order, hold, assume_unique=True)
-        z_tr, r_tr = z[keep], r[keep]
-        z_ho, r_ho = z[hold], r[hold]
-        a, qn, r0n, _ = _gram_pieces([(z_tr, r_tr)])
-        coef = None
-        for i, lam in enumerate(grid):
-            coef, _, _, _, _ = _fit_gram(a, qn, r0n, float(lam), None, coef, tol, max_iter)
-            resid = r_ho - z_ho @ coef
-            losses[k, i] = float(resid @ resid) / hold.size
-    mean = losses.mean(axis=0)
-    best = int(np.argmin(mean))
-    if not one_se:
-        return float(grid[best])
-    se = losses.std(axis=0, ddof=1) / math.sqrt(folds)
-    cutoff = mean[best] + se[best]
-    for i in range(grid_size):  # grid is descending, so first hit is largest
-        if mean[i] <= cutoff:
-            return float(grid[i])
-    return float(grid[best])

@@ -18,7 +18,6 @@ from transfarm.numerics import ConvergenceError, RngStream, check_matrix, check_
 from transfarm.solver import (
     DEFAULT_LAMBDA_C,
     DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     LassoProblem,
     lasso_fit,
     penalty_level,
@@ -70,7 +69,9 @@ class TransferConfig:
     into plain pooled-Lasso transfer on the raw design.  rank = None
     selects each dataset's rank by the eigenvalue-ratio rule.  threshold
     "2L0" adds twice the target-only loss to the detection cutoff;
-    ("eps0", value) adds value * sigma_hat^2 instead.
+    "eps0" adds eps0 * sigma_hat^2 instead.  sigma_hat, when set, replaces
+    the scaled-Lasso noise estimate on the target.  Every Lasso runs at
+    the solver's DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
 
     lambda_c: float = DEFAULT_LAMBDA_C
@@ -84,9 +85,6 @@ class TransferConfig:
     eps0: float = 0.0
     seed: int = 0
     sigma_hat: float | None = None
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    intercept: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_FARM, MODE_LASSO):
@@ -141,12 +139,7 @@ class DetectionReport:
 
 
 def _decompose_dataset(ds: Dataset, config: TransferConfig) -> FactorDecomposition:
-    return decompose(
-        ds.x,
-        rank=config.effective_rank(),
-        intercept=config.intercept,
-        max_rank=config.max_rank,
-    )
+    return decompose(ds.x, rank=config.effective_rank(), max_rank=config.max_rank)
 
 
 def _target_sigma(u0: np.ndarray, y0: np.ndarray, config: TransferConfig) -> float:
@@ -155,7 +148,7 @@ def _target_sigma(u0: np.ndarray, y0: np.ndarray, config: TransferConfig) -> flo
         if config.sigma_hat <= 0:
             raise ValueError(f"sigma_hat must be positive, got {config.sigma_hat}")
         return config.sigma_hat
-    return scaled_lasso(u0, y0, tol=config.tol, max_iter=config.max_iter).sigma
+    return scaled_lasso(u0, y0).sigma
 
 
 def _check_sources(target: Dataset, sources: list[Dataset]):
@@ -211,26 +204,20 @@ def two_step_fit(
     lam_pooled = config.lambda_pooled
     if lam_pooled is None:
         lam_pooled = penalty_level(sigma, target.p, n_pooled, config.lambda_c)
-    pooled = lasso_fit(
-        LassoProblem(blocks, lam_pooled), tol=config.tol, max_iter=config.max_iter
-    )
+    pooled = lasso_fit(LassoProblem(blocks, lam_pooled))
     if not pooled.converged:
         raise ConvergenceError(
-            f"transferring step did not converge in {config.max_iter} sweeps"
+            f"transferring step did not converge in {DEFAULT_MAX_ITER} sweeps"
             f" (kkt violation {pooled.kkt_violation:.3e})"
         )
 
     lam_corr = config.lambda_correction
     if lam_corr is None:
         lam_corr = penalty_level(sigma, target.p, target.n, config.lambda_c)
-    correction = lasso_fit(
-        LassoProblem([(u0, y0_tilde)], lam_corr, offset=pooled.coef),
-        tol=config.tol,
-        max_iter=config.max_iter,
-    )
+    correction = lasso_fit(LassoProblem([(u0, y0_tilde)], lam_corr, offset=pooled.coef))
     if not correction.converged:
         raise ConvergenceError(
-            f"debiasing step did not converge in {config.max_iter} sweeps"
+            f"debiasing step did not converge in {DEFAULT_MAX_ITER} sweeps"
             f" (kkt violation {correction.kkt_violation:.3e})"
         )
 
@@ -322,19 +309,13 @@ def detect_sources(
         train = np.concatenate([split[i] for i in range(config.folds) if i != r])
         u_tr, y_tr = u0[train], y0[train]
         lam0 = penalty_level(sigma, p, train.size, config.lambda_c)
-        base = lasso_fit(
-            LassoProblem([(u_tr, y_tr)], lam0), tol=config.tol, max_iter=config.max_iter
-        )
+        base = lasso_fit(LassoProblem([(u_tr, y_tr)], lam0))
         if not base.converged:
             raise ConvergenceError(f"detection target fit on fold {r} did not converge")
         loss_target[r] = fold_loss(base.coef, u0, y0, hold)
         for k, (u_k, y_k) in enumerate(source_parts):
             lam_k = penalty_level(sigma, p, train.size + u_k.shape[0], config.lambda_c)
-            pooled = lasso_fit(
-                LassoProblem([(u_tr, y_tr), (u_k, y_k)], lam_k),
-                tol=config.tol,
-                max_iter=config.max_iter,
-            )
+            pooled = lasso_fit(LassoProblem([(u_tr, y_tr), (u_k, y_k)], lam_k))
             if not pooled.converged:
                 raise ConvergenceError(
                     f"detection pooled fit (fold {r}, source {k + 1}) did not converge"

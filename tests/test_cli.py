@@ -1,6 +1,7 @@
 """Command-line interface tests: ingestion, schemas, exit codes."""
 
 import csv
+import dataclasses
 import re
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+import transfarm.cli
 from transfarm.cli import ingest_dataset, main, write_dataset
 from transfarm.numerics import RngStream
+from transfarm.simlab import SimConfig, SimResult
 from transfarm.transfer import Dataset, TransferConfig, detect_sources, two_step_fit
 
 
@@ -203,6 +206,67 @@ def test_simulate_schema(tmp_path):
     assert all(r[2] == "2" for r in rows)
 
 
+# SimConfig field -> (--sim-* flag text, value the config must carry); every
+# value differs from the field's default
+SIM_FLAG_VALUES = {
+    "n0": ("41", 41),
+    "nk": ("42", 42),
+    "p": ("43", 43),
+    "s": ("4", 4),
+    "k_sources": ("3", 3),
+    "eta": ("2.5", 2.5),
+    "rank": ("1", 1),
+    "signal": ("0.7", 0.7),
+    "gamma0": ("0.25", (0.25,)),
+    "gamma_jitter_informative": ("0.2", 0.2),
+    "gamma_jitter_adversarial": ("0.6", 0.6),
+    "adversarial_mult": ("3.0", 3.0),
+    "rho": ("0.4", 0.4),
+    "cov_spike": ("0.2", 0.2),
+    "loading_width": ("1.5", 1.5),
+    "replications": ("2", 2),
+    "roster": ("only-FARM,Trans-Lasso", ("only-FARM", "Trans-Lasso")),
+    "fix_rank": ("true", True),
+    "max_rank": ("3", 3),
+    "redraw_informative": ("false", False),
+}
+
+
+def capture_sim_configs(monkeypatch):
+    configs = []
+
+    def fake_run(config, threads=1):
+        configs.append(config)
+        return SimResult(config=config, rows=[], informative_sets=[], failures=[])
+
+    monkeypatch.setattr(transfarm.cli, "run_experiment", fake_run)
+    return configs
+
+
+def test_every_sim_config_field_reaches_its_flag(tmp_path, monkeypatch):
+    shared = {"a_size", "base_seed", "lambda_c", "folds", "threshold", "eps0"}
+    assert set(SIM_FLAG_VALUES) | shared == {f.name for f in dataclasses.fields(SimConfig)}
+    configs = capture_sim_configs(monkeypatch)
+    argv = ["simulate", "--out", str(tmp_path), "--sim-a-size", "0,2", "--seed", "7",
+            "--lambda-c", "0.6", "--folds", "4", "--threshold", "eps0:1.5"]
+    for name, (text, _) in SIM_FLAG_VALUES.items():
+        argv += ["--sim-" + name.replace("_", "-"), text]
+    assert main(argv) == 0
+    values = {name: value for name, (_, value) in SIM_FLAG_VALUES.items()}
+    assert configs == [
+        SimConfig(**values, a_size=a_size, base_seed=7, lambda_c=0.6, folds=4,
+                  threshold="eps0", eps0=1.5)
+        for a_size in (0, 2)
+    ]
+
+
+def test_simulate_defaults_are_sim_config_defaults(tmp_path, monkeypatch):
+    configs = capture_sim_configs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate"]) == 0
+    assert configs == [SimConfig(base_seed=0)]
+
+
 def test_simulate_gamma0_follows_rank(tmp_path):
     out = tmp_path / "out"
     rc = main([
@@ -308,6 +372,31 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
     rc = main(["infer", "--target", paths[0], "--alpha", "1.5"])
     assert rc == 1
     assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["infer", "--target", "{t}", "--group", "7"], "group indices must lie in [1, 6], got 7"),
+        (["infer", "--target", "{t}", "--B", "0"], "B must be positive, got 0"),
+        *(
+            ([command, "--target", "{t}", "--source", "{s}", "--folds", "1"],
+             "folds must be at least 2")
+            for command in ("fit", "detect", "transfer", "infer")
+        ),
+        (["simulate", "--sim-a-size", ""], "sim_a_size needs at least one integer"),
+        (["simulate", "--sim-p", "10", "--sim-s", "20"], "s = 20 exceeds p = 10"),
+    ],
+    ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
+         "simulate-empty-a-size", "simulate-s-above-p"],
+)
+def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
+    paths, _ = make_files(tmp_path, p=6, n_sources=1)
+    out = tmp_path / "out"
+    argv = [a.replace("{t}", paths[0]).replace("{s}", paths[1]) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -8,11 +8,9 @@ from _oracles import charpoly_eig
 from transfarm.factor import (
     decompose,
     default_max_rank,
-    factor_coefficients,
     residualize,
     select_rank,
 )
-from transfarm.numerics import RngStream, standard_normal_matrix
 
 INVARIANT_TOL = 1e-8
 
@@ -146,27 +144,8 @@ def test_rank_bounds_checked():
         decompose(x, rank=-1)
 
 
-def test_intercept_variant():
-    body = factor_data(25, 8, 1, 9)
-    x = np.hstack([np.ones((25, 1)), body])
-    d = decompose(x, rank=1, intercept=True)
-    assert np.array_equal(d.loadings[0], np.zeros(1))
-    assert np.all(d.idiosyncratic[:, 0] == 1.0)
-    recon = d.factors @ d.loadings.T
-    recon[:, 1:] += d.idiosyncratic[:, 1:]
-    assert np.max(np.abs(recon[:, 1:] - body)) < INVARIANT_TOL
-    # orthogonality applies to the genuine idiosyncratic columns only
-    assert np.max(np.abs(d.idiosyncratic[:, 1:].T @ d.factors)) < INVARIANT_TOL * 25
-
-
-def test_intercept_flag_requires_ones_column():
-    x = factor_data(10, 4, 1, 2)
-    with pytest.raises(ValueError):
-        decompose(x, intercept=True)
-
-
 # ----------------------------------------------------------------------
-# residualize / factor_coefficients
+# residualize
 # ----------------------------------------------------------------------
 
 
@@ -194,28 +173,10 @@ def test_residualize_matches_direct_projection():
     assert_allclose(residualize(once, d), once, atol=1e-10)
 
 
-def test_factor_coefficients_recover_gamma():
-    d = decompose(factor_data(30, 12, 2, 7), rank=2)
-    gamma = np.array([0.4, -1.1])
-    y = d.factors @ gamma
-    assert_allclose(factor_coefficients(y, d), gamma, atol=1e-8)
-
-
-def test_factor_coefficients_rank_zero_empty():
-    d = decompose(factor_data(10, 5, 1, 3), rank=0)
-    assert factor_coefficients(np.ones(10), d).shape == (0,)
-
-
-def test_factor_coefficients_matches_direct_product():
-    d = decompose(factor_data(14, 9, 2, 11), rank=2)
-    y = np.random.default_rng(12).standard_normal(14)
-    assert_allclose(factor_coefficients(y, d), d.factors.T @ y / 14, atol=1e-10)
-
-
 def test_projection_identity():
     d = decompose(factor_data(18, 8, 2, 13), rank=2)
     y = np.random.default_rng(14).standard_normal(18)
-    back = residualize(y, d) + d.factors @ factor_coefficients(y, d)
+    back = residualize(y, d) + d.factors @ (d.factors.T @ y / 18)
     assert np.max(np.abs(back - y)) < 1e-8
 
 
@@ -223,10 +184,3 @@ def test_length_mismatch_rejected():
     d = decompose(factor_data(10, 5, 1, 0), rank=1)
     with pytest.raises(ValueError):
         residualize(np.ones(9), d)
-    with pytest.raises(ValueError):
-        factor_coefficients(np.ones(11), d)
-
-
-def test_generator_helper_shapes():
-    draw = standard_normal_matrix(RngStream(0), 6, 3)
-    assert draw.shape == (6, 3)

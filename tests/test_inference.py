@@ -196,6 +196,19 @@ def test_adequacy_interval_halfwidth_is_uniform():
     assert_allclose((res.upper + res.lower) / 2.0, res.beta_tilde, atol=1e-12)
 
 
+def test_adequacy_is_the_plain_all_coordinate_interval_view():
+    u, y, _ = instance(50, 8, 20, s=4, signal=1.0)
+    theta = nodewise_precision(u, lambda_node=0.0)
+    test = adequacy_test(np.zeros(8), u, y, theta, 1.0, RngStream(21), draws=200)
+    cis = simultaneous_cis(
+        np.zeros(8), u, y, theta, 1.0, RngStream(21), group=None, studentized=False,
+        draws=200,
+    )
+    for name in ("lower", "upper", "quantile", "statistic", "beta_tilde"):
+        assert np.array_equal(getattr(test, name), getattr(cis, name)), name
+    assert test.reject == (test.statistic > test.quantile)
+
+
 # ----------------------------------------------------------------------
 # simultaneous intervals
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from _oracles import charpoly_eig, fix_sign
 from transfarm.numerics import (
     RngStream,
     correlated_normal,
-    standard_normal_matrix,
     sym_eig,
     toeplitz_correlation,
 )
@@ -109,20 +108,20 @@ def test_rejects_bad_input():
 
 
 def test_same_stream_is_bitwise_identical():
-    a = standard_normal_matrix(RngStream(3, 1), 10, 4)
-    b = standard_normal_matrix(RngStream(3, 1), 10, 4)
+    a = RngStream(3, 1).generator().standard_normal((10, 4))
+    b = RngStream(3, 1).generator().standard_normal((10, 4))
     assert np.array_equal(a, b)
 
 
 def test_standard_normal_moments():
-    draws = standard_normal_matrix(RngStream(0), 100000, 1).ravel()
+    draws = RngStream(0).generator().standard_normal((100000, 1)).ravel()
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.02
 
 
 def test_distinct_streams_decorrelated():
-    a = standard_normal_matrix(RngStream(0, 0), 10000, 1).ravel()
-    b = standard_normal_matrix(RngStream(0, 1), 10000, 1).ravel()
+    a = RngStream(0, 0).generator().standard_normal((10000, 1)).ravel()
+    b = RngStream(0, 1).generator().standard_normal((10000, 1)).ravel()
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
 
@@ -133,13 +132,6 @@ def test_substream_keys_partition_the_stream():
     z = root.substream(2, 6).generator(1).standard_normal(8)
     assert np.array_equal(x, y)
     assert not np.array_equal(x, z)
-
-
-def test_zero_dimension_rejected():
-    with pytest.raises(ValueError):
-        standard_normal_matrix(RngStream(0), 0, 3)
-    with pytest.raises(ValueError):
-        standard_normal_matrix(RngStream(0), 3, 0)
 
 
 # ----------------------------------------------------------------------

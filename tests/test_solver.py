@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
-from transfarm.numerics import ConvergenceError, RngStream
+from transfarm.numerics import ConvergenceError
 from transfarm.solver import (
     LassoProblem,
-    cv_lambda,
     lasso_fit,
     nodewise_precision,
     penalty_level,
@@ -293,24 +292,3 @@ def test_nodewise_reports_lowest_unconverged_row():
     with pytest.raises(ConvergenceError, match="nodewise regression 1 hit 1 sweeps"):
         nodewise_precision(u, lambda_node=lambdas, max_iter=1)
     assert nodewise_precision(u, lambda_node=lambdas).tau_sq[0] > 0
-
-
-# ----------------------------------------------------------------------
-# cross-validated penalty
-# ----------------------------------------------------------------------
-
-
-def test_cv_lambda_deterministic_and_in_grid():
-    z, r, _ = sparse_instance(60, 10, 3, 17, noise=0.5)
-    first = cv_lambda(z, r, rng=RngStream(1))
-    second = cv_lambda(z, r, rng=RngStream(1))
-    assert first == second
-    lam_max = float(np.max(np.abs(z.T @ r))) / 60
-    assert lam_max * 1e-3 <= first <= lam_max
-
-
-def test_cv_lambda_one_se_is_no_smaller():
-    z, r, _ = sparse_instance(60, 10, 3, 18, noise=0.5)
-    plain = cv_lambda(z, r, rng=RngStream(2))
-    conservative = cv_lambda(z, r, rng=RngStream(2), one_se=True)
-    assert conservative >= plain
