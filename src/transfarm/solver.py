@@ -109,8 +109,20 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     a = (1/N) sum Z.T Z, qn = (1/N) sum Z.T r, r0n = (1/N) sum r.T r.
     Stopping is scale-relative (thresholds multiply the response RMS) so
     the iterate path is exactly equivariant under rescaling of r and lam.
+
+    Each sweep updates the coordinates in index order, skipping those
+    with a[j, j] <= 0.  A coordinate that is zero stays zero when
+    |qn[j] - v[j]| <= lam, so only the nonzeros are visited one at a
+    time; each run of zeros between two of them is tested at once
+    against the current v, and only a coordinate that fails the test is
+    updated.  Before that test, a run is passed over when its smallest
+    slack lam - |qn[j] - v[j]| at the start of the sweep exceeds a bound
+    on how far v has moved since, rounding included.  Every update of v
+    happens in the same order with the same operands as a visit to each
+    coordinate in turn, so the iterate path is the same bit for bit.
     """
     p = qn.size
+    lam = float(lam)
     delta = np.zeros(p) if start is None else start.copy()
     b = delta if offset is None else offset + delta
     b = b.copy()
@@ -119,32 +131,80 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     change_cap = tol * scale
     kkt_cap = tol * scale
     diag = np.diagonal(a).copy()
+    diag_l = diag.tolist()
+    qn_l = qn.tolist()
+    # a zero coordinate leaves zero only when |qn[j] - v[j]| > bound[j];
+    # the infinite bound keeps zero-variance coordinates out of the test
+    bound = np.where(diag > 0.0, lam, math.inf)
+    # an update of coordinate k moves v[j], j != k, by at most reach[k] * |step|
+    reach = np.abs(a)
+    np.fill_diagonal(reach, 0.0)
+    reach = reach.max(axis=1).tolist()
+    # Each update may move v[j] up to half an ulp of |v[j]| past its exact
+    # step, and qn - v and the slack round too.  On a run that may be
+    # passed over |v[j]| <= qmax + lam + drift, so the margin
+    # ulp_scale * (updates + 2) * (qmax + lam + drift) covers all of it
+    # about four times over.
+    ulp_scale = 4.0 * np.finfo(np.float64).eps
+    qmax = float(np.abs(qn).max())
+    slack = np.empty(p + 1)
+    slack[p] = math.inf  # lets a run start one past the last coordinate
+    head = slack[:p]
     v = a @ b
     sweeps = 0
     converged = False
     kkt = math.inf
     while sweeps < max_iter:
         max_change = 0.0
-        for j in range(p):
-            ajj = diag[j]
-            if ajj <= 0.0:
-                continue
-            dj = delta[j]
-            c = qn[j] - v[j] + ajj * dj
-            if c > lam:
-                new = (c - lam) / ajj
-            elif c < -lam:
-                new = (c + lam) / ajj
-            else:
-                new = 0.0
-            if new != dj:
-                step = new - dj
-                v += a[j] * step
-                delta[j] = new
-                b[j] += step
-                moved = abs(step)
-                if moved > max_change:
-                    max_change = moved
+        nonzero = np.flatnonzero(delta)
+        np.subtract(qn, v, out=head)
+        np.abs(head, out=head)
+        np.subtract(bound, head, out=head)
+        head[nonzero] = math.inf
+        # run i holds the zeros before nonzero i (the last run ends at p)
+        run_slack = np.minimum.reduceat(slack, np.concatenate(([0], nonzero + 1))).tolist()
+        ends = nonzero.tolist()
+        ends.append(p)
+        drift = 0.0  # sum of reach[k] * |step| over this sweep's updates
+        updates = 0
+        limit = ulp_scale * 2 * (qmax + lam)
+        lo = 0
+        for least, end in zip(run_slack, ends):
+            while True:
+                # next coordinate to visit: the first zero in [lo, end)
+                # that fails its test, else the nonzero at end
+                j = end
+                if lo < end and least <= limit:
+                    hit = np.abs(qn[lo:end] - v[lo:end]) > bound[lo:end]
+                    first = int(hit.argmax())
+                    if hit[first]:
+                        j = lo + first
+                if j == p:
+                    break
+                ajj = diag_l[j]
+                if ajj > 0.0:
+                    dj = delta.item(j)
+                    c = qn_l[j] - v.item(j) + ajj * dj
+                    if c > lam:
+                        new = (c - lam) / ajj
+                    elif c < -lam:
+                        new = (c + lam) / ajj
+                    else:
+                        new = 0.0
+                    if new != dj:
+                        step = new - dj
+                        v += a[j] * step
+                        delta[j] = new
+                        b[j] += step
+                        moved = abs(step)
+                        if moved > max_change:
+                            max_change = moved
+                        drift += reach[j] * moved
+                        updates += 1
+                        limit = drift + ulp_scale * (updates + 2) * (qmax + lam + drift)
+                lo = j + 1
+                if j == end:
+                    break
         sweeps += 1
         v = a @ b  # fresh product keeps incremental drift out of the tests below
         kkt = float(_kkt_violation(qn - v, delta, lam))

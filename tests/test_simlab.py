@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import transfarm.transfer
 from transfarm.factor import decompose
 from transfarm.numerics import RngStream, toeplitz_correlation
 from transfarm.simlab import (
     ALL_ESTIMATORS,
+    FARM_ESTIMATORS,
+    LASSO_ESTIMATORS,
     SimConfig,
     generate,
     l1_error,
@@ -17,7 +20,7 @@ from transfarm.simlab import (
     _run_replication,
     _transfer_config,
 )
-from transfarm.transfer import two_step_fit
+from transfarm.transfer import MODE_FARM, MODE_LASSO, detect_and_fit, two_step_fit
 
 TINY = dict(n0=40, nk=40, p=30, s=4, k_sources=2, a_size=1, rank=2, eta=2.0)
 
@@ -215,6 +218,47 @@ def test_threads_do_not_change_results():
     assert serial.informative_sets == parallel.informative_sets
 
 
+def test_each_mode_fits_its_target_sigma_once(monkeypatch):
+    real = transfarm.transfer.scaled_lasso
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transfarm.transfer, "scaled_lasso", counted)
+    cfg = tiny_config(roster=ALL_ESTIMATORS, replications=2, base_seed=13)
+    result = run_experiment(cfg)
+    assert len(calls) == 2 * cfg.replications  # one per mode and replication
+    assert not result.failures and len(result.rows) == 8 * cfg.replications
+
+    # every row is what the estimator gives when it fits sigma itself
+    for rep in range(cfg.replications):
+        target, sources, truth = generate(cfg, RngStream(cfg.base_seed, 0, (0, rep)))
+        direct = {}
+        for mode, names in ((MODE_FARM, FARM_ESTIMATORS), (MODE_LASSO, LASSO_ESTIMATORS)):
+            tcfg = _transfer_config(cfg, mode, rep)
+            assert tcfg.sigma_hat is None
+            only, trans, oracle, pooled = names
+            fit, report = detect_and_fit(target, sources, tcfg)
+            direct[trans] = (fit.coef, report.selected)
+            direct[only] = (two_step_fit(target, sources, (), tcfg).coef, None)
+            direct[oracle] = (two_step_fit(target, sources, truth.informative, tcfg).coef, None)
+            all_sources = tuple(range(1, cfg.k_sources + 1))
+            direct[pooled] = (two_step_fit(target, sources, all_sources, tcfg).coef, None)
+        for row in result.rows:
+            if row.replication != rep:
+                continue
+            coef, selected = direct[row.estimator]
+            assert row.l1_error == l1_error(coef, truth.beta)
+            assert row.l2_error == l2_error(coef, truth.beta)
+            assert row.selected == selected
+
+    parallel = run_experiment(cfg, threads=2)
+    key = lambda r: (r.estimator, r.replication, r.l1_error, r.l2_error, r.selected)
+    assert [key(r) for r in parallel.rows] == [key(r) for r in result.rows]
+
+
 def test_fixed_informative_set_is_shared_across_replications():
     cfg = tiny_config(
         roster=("only-Lasso",), replications=3, redraw_informative=False, base_seed=8
@@ -276,4 +320,6 @@ def test_config_validation():
         tiny_config(replications=0)
     with pytest.raises(ValueError, match="unknown estimators"):
         tiny_config(roster=("only-FARM", "ridge"))
+    with pytest.raises(ValueError, match="roster must name at least one"):
+        tiny_config(roster=())
     assert set(ALL_ESTIMATORS) >= set(SimConfig().roster)

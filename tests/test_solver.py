@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
 from transfarm.numerics import ConvergenceError
 from transfarm.solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     LassoProblem,
+    _fit_gram,
     lasso_fit,
     nodewise_precision,
     penalty_level,
@@ -143,6 +146,157 @@ def test_penalty_level_formula():
     assert penalty_level(2.0, 100, 400) == expected
     with pytest.raises(ValueError):
         penalty_level(-1.0, 10, 10)
+
+
+# ----------------------------------------------------------------------
+# the coordinate-descent core against a one-coordinate-at-a-time loop
+# ----------------------------------------------------------------------
+
+
+def one_at_a_time(a, qn, r0n, lam, offset, start, tol, max_iter):
+    """Coordinate descent that visits every coordinate on every sweep.
+
+    The iterate path the solver core must reproduce bit for bit: the
+    same updates in the same order, the fresh a @ b after each sweep,
+    and the same KKT value and stop rule.  It calls nothing in
+    transfarm.solver.
+    """
+    p = qn.size
+    delta = np.zeros(p) if start is None else start.copy()
+    b = (delta if offset is None else offset + delta).copy()
+    rms = math.sqrt(r0n) if r0n > 0 else 0.0
+    cap = tol * (rms if rms > 0 else 1.0)
+    diag = np.diagonal(a).copy()
+    v = a @ b
+    sweeps, converged, kkt = 0, False, math.inf
+    while sweeps < max_iter:
+        max_change = 0.0
+        for j in range(p):
+            ajj = diag[j]
+            if ajj <= 0.0:
+                continue
+            dj = delta[j]
+            c = qn[j] - v[j] + ajj * dj
+            if c > lam:
+                new = (c - lam) / ajj
+            elif c < -lam:
+                new = (c + lam) / ajj
+            else:
+                new = 0.0
+            if new != dj:
+                step = new - dj
+                v += a[j] * step
+                delta[j] = new
+                b[j] += step
+                max_change = max(max_change, abs(step))
+        sweeps += 1
+        v = a @ b
+        g = qn - v
+        np.subtract(g, lam, out=g, where=delta > 0.0)
+        np.add(g, lam, out=g, where=delta < 0.0)
+        np.abs(g, out=g)
+        np.subtract(g, lam, out=g, where=delta == 0.0)
+        kkt = float(g.max(initial=0.0))
+        if max_change <= cap and kkt <= cap:
+            converged = True
+            break
+    objective = 0.5 * (r0n - 2.0 * float(qn @ b) + float(b @ v))
+    objective += lam * float(np.abs(delta).sum())
+    return delta, objective, sweeps, kkt, converged
+
+
+def ulps(x, k):
+    """x moved k representable doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+@st.composite
+def gram_problems(draw):
+    p = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = gen.standard_normal((n, p))
+    for j, k in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=3)):
+        z[:, j] = z[:, k]  # duplicate columns
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=3)):
+        z[:, j] = 0.0  # zero-variance coordinates
+    a = z.T @ z / n
+    magnitude = 10.0 ** draw(st.integers(-2, 6))
+    offset = gen.standard_normal(p) * magnitude if draw(st.booleans()) else None
+    start = None
+    if draw(st.booleans()):
+        start = gen.standard_normal(p) * magnitude
+        start[gen.random(p) < draw(st.floats(0.0, 1.0))] = 0.0
+    b0 = np.zeros(p) if start is None else start.copy()
+    if offset is not None:
+        b0 = offset + b0
+    v0 = a @ b0  # v at the start of the first sweep, as the core computes it
+    lam_draw = draw(st.sampled_from(["zero", "above-max", "tie", "fraction"]))
+    if draw(st.booleans()):
+        # near-stationary start: each nonzero of start sits within a few
+        # ulps of v of |qn - v| = lam, so its first steps are rounding
+        # sized, and the zeros sit just inside that boundary or anywhere
+        # in [-lam, lam]; rounding in v then decides which zeros move
+        lam = 0.0 if lam_draw == "zero" else float(gen.uniform(0.01, 1.0))
+        ulp_v = np.spacing(np.abs(v0))
+        sign = np.zeros(p) if start is None else np.sign(start)
+        held = sign != 0
+        sign[~held] = np.where(gen.random(p - int(held.sum())) < 0.5, -1.0, 1.0)
+        g = sign * lam
+        g[held] += gen.uniform(-3.0, 3.0, int(held.sum())) * ulp_v[held]
+        g[~held] -= sign[~held] * gen.uniform(0.0, 4.0, p - int(held.sum())) * ulp_v[~held]
+        inside = ~held & (gen.random(p) < 0.3)
+        g[inside] = gen.uniform(-lam, lam, int(inside.sum()))
+        qn = v0 + g
+        r0n = float(b0 @ v0) + lam * lam + 1.0
+    else:
+        r = gen.standard_normal(n)
+        qn = z.T @ r / n
+        r0n = float(r @ r) / n
+        live = np.diagonal(a) > 0.0
+        gaps = np.abs(qn - v0)[live]
+        lam_max = float(gaps.max()) if gaps.size else 0.0
+        if lam_draw == "zero":
+            lam = 0.0
+        elif lam_draw == "above-max":
+            lam = ulps(lam_max, draw(st.integers(0, 4)))
+        elif lam_draw == "tie":
+            lam = float(gaps[draw(st.integers(0, gaps.size - 1))]) if gaps.size else 0.0
+        else:
+            lam = lam_max * draw(st.floats(0.0, 1.0))
+    if lam_draw == "tie" and lam > 0.0:
+        lam = ulps(lam, draw(st.integers(-4, 4)))
+    return a, qn, r0n, max(lam, 0.0), offset, start
+
+
+def rounding_trap():
+    """A zero coordinate that only rounding in v pushes past lam.
+
+    v[1] = 2**30 + 1/2 has ulp 2**-22.  The first update, at coordinate
+    0, moves v[1] by 0.5625 ulp, which rounds to a whole ulp.  Coordinate
+    1 starts with slack lam - |qn[1] - v[1]| = 0.875 ulp: more than the
+    exact move, less than the rounded one, so it must be updated.
+    """
+    a = np.array([[1.0, 0.5], [0.5, 1.0]])
+    offset = np.array([0.0, 2.0**30])
+    start = np.array([1.0, 0.0])  # v = a @ (offset + start) = [2**29 + 1, 2**30 + 1/2]
+    lam = 1.0 + 7 * 2.0**-25
+    qn = np.array([2.0**29 + 2.0 + 2.0**-21, 2.0**30 - 0.5])
+    return a, qn, 2.0**60, lam, offset, start
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_problems())
+@example(rounding_trap())
+def test_core_follows_the_one_at_a_time_path(problem):
+    a, qn, r0n, lam, offset, start = problem
+    for max_iter in (1, 2, 3, DEFAULT_MAX_ITER):
+        got = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
+        want = one_at_a_time(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
 
 
 # ----------------------------------------------------------------------
