@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import check_matrix, check_vector, sym_eig
+from transfarm.numerics import SymEigResult, check_matrix, check_vector, sym_eig
 
 # Eigenvalues below this fraction of the leading one are floored before
 # ratios are formed, so trailing zeros cannot fake a huge ratio.
@@ -29,6 +29,8 @@ class FactorDecomposition:
     factors has unit-scaled columns (factors.T @ factors / n = I), the
     loadings satisfy loadings = x.T @ factors / n, and idiosyncratic is
     the residual, so x = factors @ loadings.T + idiosyncratic exactly.
+    gram_eigenvalues is the descending spectrum of x @ x.T; it is empty
+    for a split at a fixed rank 0, which never forms the Gram.
     """
 
     rank: int
@@ -88,8 +90,8 @@ def decompose(
     if rank is not None and (rank < 0 or rank > limit):
         raise ValueError(f"rank must lie in [0, {limit}], got {rank}")
 
-    gram = x @ x.T
-    eig = sym_eig(gram)
+    # a rank-0 split passes x through and needs no spectrum
+    eig = SymEigResult(np.zeros(0), np.zeros((n, 0))) if rank == 0 else sym_eig(x @ x.T)
     gram_eigenvalues = eig.eigenvalues
     if rank is None:
         cap = default_max_rank(n) if max_rank is None else max_rank
@@ -121,7 +123,5 @@ def residualize(y: np.ndarray, decomp: FactorDecomposition) -> np.ndarray:
     f = decomp.factors
     if y.size != f.shape[0]:
         raise ValueError(f"y has {y.size} rows, decomposition has {f.shape[0]}")
-    if decomp.rank == 0:
-        return y.copy()
     return y - f @ (f.T @ y) / f.shape[0]
 

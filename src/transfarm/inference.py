@@ -23,7 +23,6 @@ from transfarm.transfer import (
     TransferConfig,
     TransferFit,
     detect_and_fit,
-    residualize,
     two_step_fit,
 )
 
@@ -243,9 +242,7 @@ def full_inference(
     else:
         fit = two_step_fit(target, sources, (), config)
         report = None
-    decomp = fit.decompositions[0]
-    u0 = decomp.idiosyncratic
-    y0 = residualize(target.y, decomp)
+    u0, y0 = target.split(config).block
     theta = nodewise_precision(u0, lambda_c=config.lambda_c)
     boot = rng.substream(17)
     test = adequacy_test(

@@ -130,13 +130,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def sym_eig(a: np.ndarray, top_k: int | None = None) -> SymEigResult:
+def sym_eig(a: np.ndarray) -> SymEigResult:
     """Eigendecomposition of a symmetric matrix, deterministic across calls.
 
     Eigenvalues come back in descending order.  Eigenvector signs follow
     a fixed convention (largest-magnitude entry positive, first index on
-    ties) so repeated calls agree bitwise.  top_k keeps only the leading
-    eigenpairs.
+    ties) so repeated calls agree bitwise.
     """
     a = check_matrix(a, "a")
     n, m = a.shape
@@ -148,9 +147,6 @@ def sym_eig(a: np.ndarray, top_k: int | None = None) -> SymEigResult:
         raise ValueError(
             f"matrix is not symmetric (max asymmetry {asym:.3e}, scale {scale:.3e})"
         )
-    if top_k is not None:
-        if top_k < 0 or top_k > n:
-            raise ValueError(f"top_k must lie in [0, {n}], got {top_k}")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -160,7 +156,4 @@ def sym_eig(a: np.ndarray, top_k: int | None = None) -> SymEigResult:
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
-    if top_k is not None:
-        values = values[:top_k]
-        vectors = vectors[:, :top_k]
     return SymEigResult(eigenvalues=values, eigenvectors=vectors)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,14 +298,9 @@ def _run_replication(config: SimConfig, rep: int, informative):
     all_sources = tuple(range(1, config.k_sources + 1))
     rows: list[SimRow] = []
     failures: list[tuple[int, str, str]] = []
-    # Every estimator of a mode decomposes the target the same way, so the
-    # first one to succeed fits the target sigma for the rest.
-    sigma_of_mode: dict[str, float] = {}
     for name in config.roster:
         mode = MODE_FARM if name in FARM_ESTIMATORS else MODE_LASSO
         cfg = _transfer_config(config, mode, rep)
-        if mode in sigma_of_mode:
-            cfg = replace(cfg, sigma_hat=sigma_of_mode[mode])
         start = time.perf_counter()
         try:
             if name in ("only-FARM", "only-Lasso"):
@@ -324,7 +319,6 @@ def _run_replication(config: SimConfig, rep: int, informative):
             failures.append((rep, name, f"{type(exc).__name__}: {exc}"))
             continue
         elapsed = time.perf_counter() - start
-        sigma_of_mode.setdefault(mode, fit.sigma_hat)
         rows.append(
             SimRow(
                 estimator=name,

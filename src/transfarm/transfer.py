@@ -9,7 +9,8 @@ keeps those within a threshold of the target-only fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,39 @@ THRESHOLD_EPS0 = "eps0"
 
 
 @dataclass
+class DatasetSplit:
+    """A dataset's factor split under one rank rule, with y_tilde = y
+    purged of the factor span.  sigma, the scaled-Lasso noise scale of the
+    split, is fitted on first use; only the target's is ever read.
+    """
+
+    decomposition: FactorDecomposition
+    y_tilde: np.ndarray
+
+    @property
+    def block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (idiosyncratic part, y_tilde) pair every Lasso here fits on."""
+        return self.decomposition.idiosyncratic, self.y_tilde
+
+    @cached_property
+    def sigma(self) -> float:
+        # One noise scale, estimated on the target alone, feeds every penalty.
+        return scaled_lasso(*self.block).sigma
+
+
+@dataclass
 class Dataset:
-    """One dataset; role 0 is the target, k >= 1 is source k."""
+    """One dataset; role 0 is the target, k >= 1 is source k.
+
+    x and y must not be modified after construction: split() memoises
+    the factor split of each rank rule on the dataset, so detection,
+    fitting and inference all reuse one split per dataset and mode.
+    """
 
     x: np.ndarray
     y: np.ndarray
     role: int = 0
+    _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = check_matrix(self.x, "x")
@@ -60,6 +88,22 @@ class Dataset:
     def p(self) -> int:
         return self.x.shape[1]
 
+    def split(self, config: TransferConfig) -> DatasetSplit:
+        """The factor split under config's rank rule, made on first use."""
+        key = (config.effective_rank(), config.max_rank)
+        if key not in self._splits:
+            try:
+                d = decompose(self.x, *key)
+            except ValueError as exc:
+                name = "target" if self.role == 0 else f"source {self.role}"
+                raise ValueError(f"{name}: {exc}") from None
+            y_tilde = residualize(self.y, d)
+            # every fit of this dataset shares the split, so none may write to it
+            for a in (d.factors, d.loadings, d.idiosyncratic, d.gram_eigenvalues, y_tilde):
+                a.flags.writeable = False
+            self._splits[key] = DatasetSplit(d, y_tilde)
+        return self._splits[key]
+
 
 @dataclass
 class TransferConfig:
@@ -69,9 +113,8 @@ class TransferConfig:
     into plain pooled-Lasso transfer on the raw design.  rank = None
     selects each dataset's rank by the eigenvalue-ratio rule.  threshold
     "2L0" adds twice the target-only loss to the detection cutoff;
-    "eps0" adds eps0 * sigma_hat^2 instead.  sigma_hat, when set, replaces
-    the scaled-Lasso noise estimate on the target.  Every Lasso runs at
-    the solver's DEFAULT_TOL and DEFAULT_MAX_ITER.
+    "eps0" adds eps0 * sigma_hat^2 instead.  Every Lasso runs at the
+    solver's DEFAULT_TOL and DEFAULT_MAX_ITER.
     """
 
     lambda_c: float = DEFAULT_LAMBDA_C
@@ -84,7 +127,6 @@ class TransferConfig:
     threshold: str = THRESHOLD_TWICE_TARGET
     eps0: float = 0.0
     seed: int = 0
-    sigma_hat: float | None = None
 
     def __post_init__(self):
         if self.mode not in (MODE_FARM, MODE_LASSO):
@@ -138,19 +180,6 @@ class DetectionReport:
     sigma_hat: float
 
 
-def _decompose_dataset(ds: Dataset, config: TransferConfig) -> FactorDecomposition:
-    return decompose(ds.x, rank=config.effective_rank(), max_rank=config.max_rank)
-
-
-def _target_sigma(u0: np.ndarray, y0: np.ndarray, config: TransferConfig) -> float:
-    # One noise scale, estimated on the target alone, feeds every penalty.
-    if config.sigma_hat is not None:
-        if config.sigma_hat <= 0:
-            raise ValueError(f"sigma_hat must be positive, got {config.sigma_hat}")
-        return config.sigma_hat
-    return scaled_lasso(u0, y0).sigma
-
-
 def _check_sources(target: Dataset, sources: list[Dataset]):
     if target.role != 0:
         raise ValueError(f"target must have role 0, got {target.role}")
@@ -188,17 +217,10 @@ def two_step_fit(
             f"source_set must be within 1..{len(sources)}, got {chosen}"
         )
 
-    decomps = {0: _decompose_dataset(target, config)}
-    for k in chosen:
-        decomps[k] = _decompose_dataset(sources[k - 1], config)
+    splits = {k: (sources[k - 1] if k else target).split(config) for k in (0, *chosen)}
+    sigma = splits[0].sigma
 
-    y0_tilde = residualize(target.y, decomps[0])
-    u0 = decomps[0].idiosyncratic
-    sigma = _target_sigma(u0, y0_tilde, config)
-
-    blocks = [(u0, y0_tilde)]
-    for k in chosen:
-        blocks.append((decomps[k].idiosyncratic, residualize(sources[k - 1].y, decomps[k])))
+    blocks = [s.block for s in splits.values()]
     n_pooled = sum(z.shape[0] for z, _ in blocks)
 
     lam_pooled = config.lambda_pooled
@@ -214,7 +236,7 @@ def two_step_fit(
     lam_corr = config.lambda_correction
     if lam_corr is None:
         lam_corr = penalty_level(sigma, target.p, target.n, config.lambda_c)
-    correction = lasso_fit(LassoProblem([(u0, y0_tilde)], lam_corr, offset=pooled.coef))
+    correction = lasso_fit(LassoProblem([splits[0].block], lam_corr, offset=pooled.coef))
     if not correction.converged:
         raise ConvergenceError(
             f"debiasing step did not converge in {DEFAULT_MAX_ITER} sweeps"
@@ -230,7 +252,7 @@ def two_step_fit(
         lambda_correction=lam_corr,
         sigma_hat=sigma,
         mode=config.mode,
-        decompositions=decomps,
+        decompositions={k: s.decomposition for k, s in splits.items()},
     )
 
 
@@ -276,7 +298,7 @@ def detect_sources(
 ) -> DetectionReport:
     """Score each source by cross-validated target loss and select.
 
-    Every dataset is factor-decomposed once up front.  For each fold,
+    Every dataset's factor split is taken up front.  For each fold,
     a target-only Lasso and one pooled Lasso per source are fit on the
     remaining folds, and both are scored on the held-out fold.  Source k
     is selected when its averaged loss is at most the target-only loss
@@ -290,14 +312,9 @@ def detect_sources(
             f" got {target.n}"
         )
 
-    target_decomp = _decompose_dataset(target, config)
-    u0 = target_decomp.idiosyncratic
-    y0 = residualize(target.y, target_decomp)
-    sigma = _target_sigma(u0, y0, config)
-    source_parts = []
-    for src in sources:
-        d = _decompose_dataset(src, config)
-        source_parts.append((d.idiosyncratic, residualize(src.y, d)))
+    u0, y0 = target.split(config).block
+    sigma = target.split(config).sigma
+    source_parts = [src.split(config).block for src in sources]
 
     gen = RngStream(config.seed).generator(0)
     split = _fold_split(target.n, config.folds, gen)
@@ -349,12 +366,10 @@ def detect_and_fit(
 ) -> tuple[TransferFit, DetectionReport]:
     """Detection followed by the two-step fit on the selected sources.
 
-    Both steps decompose the target the same way, so the fit reuses the
-    target noise scale that detection estimated.
+    Both steps read the datasets' memoised splits, so the fit reuses the
+    factor splits and the target noise scale that detection made.
     """
     config = config or TransferConfig()
     report = detect_sources(target, sources, config)
-    fit = two_step_fit(
-        target, sources, report.selected, replace(config, sigma_hat=report.sigma_hat)
-    )
+    fit = two_step_fit(target, sources, report.selected, config)
     return fit, report

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 import re
 import subprocess
 import sys
@@ -406,6 +407,61 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     rc = main(["fit", "--target", paths[0], "--out", str(out), "--rank", "50"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def _draw(k, n=50, p=8):
+    gen = RngStream(5, 9).generator(k)
+    f = gen.standard_normal((n, 2))
+    x = f @ gen.uniform(-1.0, 1.0, (p, 2)).T + gen.standard_normal((n, p))
+    y = 0.6 * x[:, :3].sum(axis=1) + f.sum(axis=1) + gen.standard_normal(n)
+    return x, y
+
+
+def degenerate_inputs(case):
+    """Target, two sources and extra flags for one degenerate input."""
+    if case == "p-much-larger-than-n":
+        return _draw(0, 20, 120), [_draw(1, 20, 120), _draw(2, 20, 120)], []
+    target, sources = _draw(0), [_draw(1), _draw(2)]
+    if case == "min-n-for-folds":
+        target = _draw(0, n=6)  # two rows per fold at the default 3 folds
+    elif case == "rank-at-limit":
+        return target, sources, ["--rank", "8"]
+    elif case == "constant-y":
+        target = (target[0], np.full(50, 2.0))
+    elif case == "all-zero-source":
+        sources[1] = (np.zeros((50, 8)), sources[1][1])
+    for x, _ in [target, *sources]:
+        if case == "constant-column":
+            x[:, 0] = 3.0
+        elif case == "duplicate-column":
+            x[:, 1] = x[:, 0]
+    return target, sources, []
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["constant-column", "duplicate-column", "p-much-larger-than-n", "min-n-for-folds",
+     "rank-at-limit", "constant-y", "all-zero-source"],
+)
+def test_degenerate_inputs(tmp_path, capsys, case):
+    target, sources, extra = degenerate_inputs(case)
+    out = tmp_path / "out"
+    argv = ["transfer", "--out", str(out)] + extra
+    for k, (x, y) in enumerate([target, *sources]):
+        path = str(tmp_path / f"d{k}.csv")
+        write_dataset(path, x, y)
+        argv += ["--target" if k == 0 else "--source", path]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    if case == "all-zero-source":
+        # the failing dataset is named
+        assert rc == 2
+        assert "source 2: leading eigenvalue must be positive" in err
+        return
+    assert rc == 0, err
+    for name in ("fit.csv", "detection.csv"):
+        _, rows = read_rows(out / name)
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_module_entry_point(tmp_path):

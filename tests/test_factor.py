@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import transfarm.factor
 from _oracles import charpoly_eig
 from transfarm.factor import (
     decompose,
@@ -83,6 +84,17 @@ def test_rank_zero_passthrough():
     assert np.array_equal(d.idiosyncratic, x)
     assert d.factors.shape == (4, 0)
     assert d.loadings.shape == (3, 0)
+
+
+def test_rank_zero_makes_no_eigendecomposition(monkeypatch):
+    calls = []
+    monkeypatch.setattr(transfarm.factor, "sym_eig", lambda a: calls.append(a))
+    x = np.random.default_rng(4).standard_normal((6, 5))
+    x[0, 0] = -0.0
+    d = decompose(x, rank=0)
+    assert calls == []
+    assert d.idiosyncratic.tobytes() == x.tobytes()
+    assert d.gram_eigenvalues.shape == (0,)
 
 
 def test_factors_match_charpoly_oracle():

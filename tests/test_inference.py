@@ -1,11 +1,13 @@
 """Debiasing, bootstrap quantiles, adequacy test, simultaneous intervals."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import transfarm.factor
 from _oracles import gaussian_max_quantile
 from transfarm.inference import (
     adequacy_test,
@@ -17,7 +19,7 @@ from transfarm.inference import (
 )
 from transfarm.numerics import RngStream
 from transfarm.solver import nodewise_precision
-from transfarm.transfer import Dataset, TransferConfig
+from transfarm.transfer import Dataset, TransferConfig, detect_and_fit
 
 
 def instance(n, p, seed, noise=1.0, s=0, signal=0.5):
@@ -310,3 +312,49 @@ def test_full_inference_without_sources():
     assert test.reject is True  # strong signal
     assert cis.reject is None
     assert len(cis.group) == 12
+
+
+def assert_bitwise_equal(a, b):
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (dict, tuple)):
+        items = a.items() if isinstance(a, dict) else enumerate(a)
+        assert len(a) == len(b)
+        for k, v in items:
+            assert_bitwise_equal(v, b[k])
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("mode", ["farm", "lasso"])
+def test_reused_datasets_give_bitwise_equal_results_without_new_splits(mode, monkeypatch):
+    gen = np.random.default_rng(38)
+    arrays = []
+    for _ in range(3):
+        f = gen.standard_normal((60, 2))
+        x = f @ gen.uniform(-1.0, 1.0, (10, 2)).T + gen.standard_normal((60, 10))
+        arrays.append((x, x[:, 0] + f.sum(axis=1) + gen.standard_normal(60)))
+
+    def build():
+        return [Dataset(x=x.copy(), y=y.copy(), role=k) for k, (x, y) in enumerate(arrays)]
+
+    def run(make):
+        target, *sources = make()
+        fit = detect_and_fit(target, sources, config)
+        target, *sources = make()
+        return fit, full_inference(target, sources, config, draws=100)
+
+    config = TransferConfig(mode=mode, seed=5)
+    datasets = build()
+    detect_and_fit(datasets[0], datasets[1:], config)
+    real = transfarm.factor.sym_eig
+    calls = []
+    monkeypatch.setattr(transfarm.factor, "sym_eig", lambda a: calls.append(1) or real(a))
+    reused = run(lambda: datasets)
+    assert calls == []  # the first call made every split
+    assert not reused[0][0].decompositions[0].idiosyncratic.flags.writeable
+    assert_bitwise_equal(reused, run(build))

@@ -1,8 +1,11 @@
 """Tests for the Monte-Carlo generator and experiment runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import transfarm.factor
 import transfarm.transfer
 from transfarm.factor import decompose
 from transfarm.numerics import RngStream, toeplitz_correlation
@@ -218,27 +221,37 @@ def test_threads_do_not_change_results():
     assert serial.informative_sets == parallel.informative_sets
 
 
-def test_each_mode_fits_its_target_sigma_once(monkeypatch):
-    real = transfarm.transfer.scaled_lasso
+def counter(monkeypatch, module, name):
+    real = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(transfarm.transfer, "scaled_lasso", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_mode_fits_its_target_sigma_once(monkeypatch):
+    sigma_calls = counter(monkeypatch, transfarm.transfer, "scaled_lasso")
+    eig_calls = counter(monkeypatch, transfarm.factor, "sym_eig")
     cfg = tiny_config(roster=ALL_ESTIMATORS, replications=2, base_seed=13)
     result = run_experiment(cfg)
-    assert len(calls) == 2 * cfg.replications  # one per mode and replication
+    assert len(sigma_calls) == 2 * cfg.replications  # one per mode and replication
+    # one split per dataset in farm mode; lasso mode needs no eigendecomposition
+    assert len(eig_calls) == (cfg.k_sources + 1) * cfg.replications
     assert not result.failures and len(result.rows) == 8 * cfg.replications
+    eig_calls.clear()
+    run_experiment(replace(cfg, roster=LASSO_ESTIMATORS))
+    assert eig_calls == []
 
-    # every row is what the estimator gives when it fits sigma itself
+    # every row is what direct library calls give on a fresh draw
     for rep in range(cfg.replications):
         target, sources, truth = generate(cfg, RngStream(cfg.base_seed, 0, (0, rep)))
         direct = {}
         for mode, names in ((MODE_FARM, FARM_ESTIMATORS), (MODE_LASSO, LASSO_ESTIMATORS)):
             tcfg = _transfer_config(cfg, mode, rep)
-            assert tcfg.sigma_hat is None
             only, trans, oracle, pooled = names
             fit, report = detect_and_fit(target, sources, tcfg)
             direct[trans] = (fit.coef, report.selected)
