@@ -132,6 +132,13 @@ def _c_int(key, raw):
         raise UsageError(f"invalid integer for {key}: {raw!r}") from None
 
 
+def _c_positive_int(key, raw):
+    v = _c_int(key, raw)
+    if v < 1:
+        raise UsageError(f"{key} must be at least 1, got {v}")
+    return v
+
+
 def _c_float(key, raw):
     try:
         v = float(raw)
@@ -224,7 +231,7 @@ def _c_paths(key, raw):
 _SHARED = [
     ("seed", 0, _c_int),
     ("out", ".", _c_str),
-    ("threads", os.cpu_count() or 1, _c_int),
+    ("threads", os.cpu_count() or 1, _c_positive_int),
 ]
 _DATA = [
     ("target", None, _c_str),

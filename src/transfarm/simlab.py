@@ -337,9 +337,13 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
 
     Replications are pure functions of (config, replication index), so
     results are identical for any thread count; rows come back sorted by
-    replication then roster order.  More than FAILURE_BUDGET of estimator
-    runs failing aborts with the recorded messages.
+    replication then roster order.  At most one worker process runs per
+    replication, and a single worker means no pool at all.  More than
+    FAILURE_BUDGET of estimator runs failing aborts with the recorded
+    messages.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     informative = None
     if not config.redraw_informative:
         gen = RngStream(config.base_seed, 0, (1,)).generator()
@@ -347,8 +351,9 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
         informative = tuple(sorted(int(i) + 1 for i in pick))
 
     reps = range(config.replications)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, config.replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(_run_replication, [config] * config.replications, reps,
                          [informative] * config.replications)

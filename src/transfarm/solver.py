@@ -28,6 +28,9 @@ DEFAULT_LAMBDA_C = 0.5
 # Nodewise residual variances at or below this are treated as degenerate.
 TAU_SQ_FLOOR = 1e-12
 
+# Relative Cholesky pivot at or below which a support Gram counts as singular.
+SUPPORT_PIVOT_FLOOR = 1e-8
+
 
 def penalty_level(sigma: float, p: int, n_effective: int, lambda_c: float = DEFAULT_LAMBDA_C) -> float:
     """Penalty rule lambda = c * sigma * sqrt(2 log p / N)."""
@@ -103,12 +106,35 @@ def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float | np.ndarray) ->
     return g.max(axis=-1, initial=0.0)
 
 
+def _support_point(a, base, lam, support, sign):
+    """Solve the lasso KKT equations on a fixed support and sign pattern.
+
+    Returns x with a[S, S] @ x = base[S] - lam * sign, where S = support,
+    or None when a[S, S] is singular or sign(x) leaves the pattern.
+    a[S, S] counts as singular when a Cholesky pivot falls to
+    SUPPORT_PIVOT_FLOOR of its diagonal entry or below: that column nearly
+    repeats earlier ones (a duplicate column, or more columns than rows),
+    and a solve would return rounding error blown up along the null space.
+    """
+    a_ss = a[np.ix_(support, support)]
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(a_ss)) ** 2
+        if np.any(pivots <= SUPPORT_PIVOT_FLOOR * np.diagonal(a_ss)):
+            return None
+        x = np.linalg.solve(a_ss, base[support] - lam * sign)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.array_equal(np.sign(x), sign) else None
+
+
 def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
-    """Coordinate descent on precomputed Gram pieces.
+    """Coordinate descent on precomputed Gram pieces, finished exactly on
+    the support.
 
     a = (1/N) sum Z.T Z, qn = (1/N) sum Z.T r, r0n = (1/N) sum r.T r.
     Stopping is scale-relative (thresholds multiply the response RMS) so
-    the iterate path is exactly equivariant under rescaling of r and lam.
+    the result is exactly equivariant under rescaling of r and lam by a
+    power of two.
 
     Each sweep updates the coordinates in index order, skipping those
     with a[j, j] <= 0.  A coordinate that is zero stays zero when
@@ -119,7 +145,17 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     slack lam - |qn[j] - v[j]| at the start of the sweep exceeds a bound
     on how far v has moved since, rounding included.  Every update of v
     happens in the same order with the same operands as a visit to each
-    coordinate in turn, so the iterate path is the same bit for bit.
+    coordinate in turn, so the sweeps are the same bit for bit.
+
+    A sweep that leaves the sign pattern of delta unchanged, on a nonempty
+    support S, is followed by the exact finish: delta_S solves
+    a[S, S] delta_S = (qn - a @ offset)[S] - lam * sign_S with delta zero
+    off S (the sign-consistent active-set step of homotopy and LARS).
+    That point is returned as converged when it keeps the sign pattern
+    and its KKT violation is at most tol * RMS.  Otherwise the swept
+    iterate stands, and the pattern is not tried again until a sweep
+    changes it.  Without a finish, a sweep passes when its largest
+    coefficient move and its KKT violation are both at most tol * RMS.
     """
     p = qn.size
     lam = float(lam)
@@ -151,11 +187,14 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     slack[p] = math.inf  # lets a run start one past the last coordinate
     head = slack[:p]
     v = a @ b
+    base = qn if offset is None else qn - a @ offset
+    tried = False  # the current sign pattern has failed its exact finish
     sweeps = 0
     converged = False
     kkt = math.inf
     while sweeps < max_iter:
         max_change = 0.0
+        sign = np.sign(delta)
         nonzero = np.flatnonzero(delta)
         np.subtract(qn, v, out=head)
         np.abs(head, out=head)
@@ -206,6 +245,21 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
                 if j == end:
                     break
         sweeps += 1
+        if not np.array_equal(np.sign(delta), sign):
+            tried = False
+        elif nonzero.size and not tried:
+            tried = True
+            x = _support_point(a, base, lam, nonzero, sign[nonzero])
+            if x is not None:
+                exact = np.zeros(p)
+                exact[nonzero] = x
+                exact_b = exact if offset is None else offset + exact
+                exact_v = a @ exact_b
+                exact_kkt = float(_kkt_violation(qn - exact_v, exact, lam))
+                if exact_kkt <= kkt_cap:
+                    delta, b, v, kkt = exact, exact_b, exact_v, exact_kkt
+                    converged = True
+                    break
         v = a @ b  # fresh product keeps incremental drift out of the tests below
         kkt = float(_kkt_violation(qn - v, delta, lam))
         if max_change <= change_cap and kkt <= kkt_cap:
@@ -238,10 +292,13 @@ def lasso_fit(
 ) -> LassoSolution:
     """Coordinate-descent Lasso over stacked blocks.
 
-    Converges when the largest coefficient move in a sweep and the KKT
-    violation both fall below tol times the response RMS.  Hitting
-    max_iter returns the last iterate flagged converged=False rather
-    than raising.
+    After a sweep that keeps the sign pattern, the KKT equations are
+    solved on the support; that exact point is returned when it keeps
+    the signs and its KKT violation is at most tol times the response
+    RMS.  Otherwise the solve converges when the largest coefficient
+    move in a sweep and the KKT violation both fall below that bound.
+    Hitting max_iter returns the last iterate flagged converged=False
+    rather than raising.
     """
     if warm_start is not None:
         warm_start = check_vector(warm_start, "warm_start")
@@ -366,13 +423,18 @@ def nodewise_precision(
     loop solves them together: the visit to coordinate k updates every
     live problem j != k at once.  Each problem follows the iterate path
     of a cold-start `_fit_gram` solve: the same coordinate order, the
-    same skip of zero-variance coordinates, and a fresh G @ gamma after
-    every sweep.  After each sweep a problem passes when its largest
-    coefficient move and its KKT violation are both at most
-    tol * sqrt(G[j, j]); it is then frozen, so it stops on the same sweep
-    as a solve of its own.  Failures are reported for the lowest failing
-    row: ConvergenceError when it used up max_iter sweeps, ValueError
-    when its residual variance is degenerate.
+    same skip of zero-variance coordinates, a fresh G @ gamma after every
+    sweep, and the same stop rule.  A problem whose sign pattern on its
+    nonempty support S survives a sweep gets the exact finish
+    G[S, S] gamma_S = G[j, S] - lambda_j * sign_S, accepted when it keeps
+    the pattern and its KKT violation is at most tol * sqrt(G[j, j]);
+    a rejected pattern is not tried again until a sweep changes it.
+    Otherwise the problem passes when its largest coefficient move and
+    its KKT violation are both at most that cap.  A problem that passes is
+    frozen, so it stops on the same sweep, at the same point, as a solve
+    of its own.  Failures are reported for the lowest failing row:
+    ConvergenceError when it used up max_iter sweeps, ValueError when its
+    residual variance is degenerate.
     """
     u = check_matrix(u, "u")
     n, p = u.shape
@@ -401,6 +463,7 @@ def nodewise_precision(
     order = np.arange(p)
     tau_sq = np.zeros(p)
     converged = np.zeros(p, dtype=bool)
+    tried = np.zeros(p, dtype=bool)  # problem j's sign pattern failed its exact finish
     m = p
     sweeps = 0
     while m and sweeps < max_iter:
@@ -412,6 +475,7 @@ def nodewise_precision(
         cap = caps[live]
         gam, fit = coef[:m], fitted[:m]
         moves = np.zeros(m)
+        signs = np.sign(gam)
         for k in range(p):
             gkk = diag[k]
             if gkk <= 0.0:
@@ -428,12 +492,32 @@ def nodewise_precision(
                 fit[rows] += step[rows, None] * gram[k]
                 np.maximum(moves, np.abs(step), out=moves)
         sweeps += 1
+        # problems whose nonempty sign pattern survived the sweep, and has
+        # not failed its finish yet, try the exact finish below
+        stable = (np.sign(gam) == signs).all(axis=1)
+        tried[live[~stable]] = False
+        finish = np.flatnonzero(stable & ~tried[live] & gam.any(axis=1))
+        tried[live[finish]] = True
+        del signs, stable  # free them before g below
         np.matmul(gam, gram, out=fit)  # fresh product keeps incremental drift out of the tests below
         g = gram[live]
         g -= fit
         g[np.arange(m), live] = 0.0  # coordinate j is not a variable of problem j
         done = (moves <= cap) & (_kkt_violation(g, gam, hi[:, None]) <= cap)
         del g  # free it before the compaction below makes its own copies
+        for c in finish.tolist():
+            j = live[c]
+            support = np.flatnonzero(gam[c])
+            x = _support_point(gram, gram[j], hi[c], support, np.sign(gam[c, support]))
+            if x is None:
+                continue
+            row = np.zeros(p)
+            row[support] = x
+            row_fit = x @ gram[support]
+            g = gram[j] - row_fit
+            g[j] = 0.0
+            if _kkt_violation(g, row, hi[c]) <= cap[c]:
+                gam[c], fit[c], done[c] = row, row_fit, True
         if done.any():
             finished = live[done]
             tau_sq[finished] = diag[finished] - fit[done, finished]

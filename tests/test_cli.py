@@ -388,9 +388,11 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--sim-a-size", ""], "sim_a_size needs at least one integer"),
         (["simulate", "--sim-p", "10", "--sim-s", "20"], "s = 20 exceeds p = 10"),
         (["simulate", "--sim-roster", ""], "roster must name at least one estimator"),
+        (["simulate", "--threads", "-3"], "threads must be at least 1, got -3"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
-         "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster"],
+         "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
+         "simulate-threads-below-1"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)

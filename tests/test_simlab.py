@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import transfarm.factor
+import transfarm.simlab
 import transfarm.transfer
 from transfarm.factor import decompose
 from transfarm.numerics import RngStream, toeplitz_correlation
@@ -219,6 +220,38 @@ def test_threads_do_not_change_results():
     assert [r.l2_error for r in serial.rows] == [r.l2_error for r in parallel.rows]
     assert [r.l1_error for r in serial.rows] == [r.l1_error for r in parallel.rows]
     assert serial.informative_sets == parallel.informative_sets
+
+
+def test_worker_count_is_capped_by_replications(monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so
+    # no worker process is ever started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(transfarm.simlab, "ProcessPoolExecutor", RecordingPool)
+    cfg = tiny_config(roster=("only-FARM",), replications=2)
+    serial = run_experiment(cfg)
+    pooled = run_experiment(cfg, threads=8)
+    assert sizes == [2]
+    assert [r.l2_error for r in pooled.rows] == [r.l2_error for r in serial.rows]
+    run_experiment(replace(cfg, replications=1), threads=8)
+    assert sizes == [2]  # one replication runs in-process
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_experiment(cfg, threads=threads)
+    assert sizes == [2]
 
 
 def counter(monkeypatch, module, name):

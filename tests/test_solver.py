@@ -1,6 +1,7 @@
 """Penalized solvers against brute-force references."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,10 +157,10 @@ def test_penalty_level_formula():
 def one_at_a_time(a, qn, r0n, lam, offset, start, tol, max_iter):
     """Coordinate descent that visits every coordinate on every sweep.
 
-    The iterate path the solver core must reproduce bit for bit: the
-    same updates in the same order, the fresh a @ b after each sweep,
-    and the same KKT value and stop rule.  It calls nothing in
-    transfarm.solver.
+    The sweeps the solver core must reproduce bit for bit until its exact
+    finish fires: the same updates in the same order, the fresh a @ b
+    after each sweep, and the same KKT value and stop rule.  It has no
+    exact finish and calls nothing in transfarm.solver.
     """
     p = qn.size
     delta = np.zeros(p) if start is None else start.copy()
@@ -287,16 +288,176 @@ def rounding_trap():
     return a, qn, 2.0**60, lam, offset, start
 
 
+def exact_objective(a, qn, r0n, lam, offset, delta):
+    """The objective at delta in exact rational arithmetic.
+
+    Near r0n = 2**60, or with offsets of 1e6, rounding in the float
+    objective is far larger than tol * RMS; computed exactly, the
+    objectives of two points can be compared at that level.
+    """
+    b = [Fraction(x) for x in delta]
+    if offset is not None:
+        b = [Fraction(o) + x for o, x in zip(offset.tolist(), b)]
+    ab = [sum(Fraction(x) * y for x, y in zip(row, b)) for row in a.tolist()]
+    quad = sum(x * y for x, y in zip(b, ab))
+    linear = sum(Fraction(q) * x for q, x in zip(qn.tolist(), b))
+    l1 = sum(abs(Fraction(x)) for x in delta.tolist())
+    return Fraction(r0n) / 2 - linear + quad / 2 + Fraction(lam) * l1
+
+
+def clear_of_ties(a, qn, lam, offset, delta, cap):
+    """Whether delta is the unique lasso solution with no tie near it.
+
+    The Gram of its support must be well conditioned, and every zero
+    coordinate of nonzero variance must have |g_j| below lam, and every
+    support coordinate |delta_j| above zero, by a margin far beyond what
+    a stop at tolerance cap can move.  Then any solve that stops at cap
+    has the same support and signs.
+    """
+    live = np.diagonal(a) > 0.0
+    support = np.flatnonzero(delta)
+    if not live[support].all():
+        return False
+    lam_min = float(np.linalg.eigvalsh(a[np.ix_(support, support)]).min(initial=1.0))
+    if lam_min <= 1e-6:
+        return False
+    margin = 1e3 * cap / min(lam_min, 1.0)
+    g = qn - a @ (delta if offset is None else offset + delta)
+    off = live & (delta == 0.0)
+    return bool(np.all(np.abs(g[off]) < lam - margin) and np.all(np.abs(delta[support]) > margin))
+
+
 @settings(max_examples=60, deadline=None)
 @given(gram_problems())
 @example(rounding_trap())
-def test_core_follows_the_one_at_a_time_path(problem):
+def test_core_finishes_exactly_on_the_one_at_a_time_solution(problem):
     a, qn, r0n, lam, offset, start = problem
+    rms = math.sqrt(r0n) if r0n > 0 else 0.0
+    cap = DEFAULT_TOL * (rms if rms > 0 else 1.0)
     for max_iter in (1, 2, 3, DEFAULT_MAX_ITER):
         got = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
         want = one_at_a_time(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
-        assert np.array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
+        if np.array_equal(got[0], want[0]) and got[1:] == want[1:]:
+            continue
+        # the sweeps match bit for bit until the exact finish ends the solve
+        delta, _, sweeps, kkt, converged = got
+        assert converged and sweeps <= want[2]
+        assert kkt <= cap
+        if not want[4]:
+            continue
+        assert exact_objective(a, qn, r0n, lam, offset, delta) <= (
+            exact_objective(a, qn, r0n, lam, offset, want[0]) + Fraction(cap)
+        )
+        if clear_of_ties(a, qn, lam, offset, delta, cap):
+            assert np.array_equal(np.sign(delta), np.sign(want[0]))
+    assert got[4] or not want[4]
+
+
+def kkt_gap(g, x, lam):
+    """Largest violation of g_j = lam * sign(x_j) on the support of x and
+    |g_j| <= lam off it, where g is the correlation with the residual."""
+    on = x != 0.0
+    return max(
+        float(np.abs(g[on] - lam * np.sign(x[on])).max(initial=0.0)),
+        float((np.abs(g[~on]) - lam).max(initial=0.0)),
+    )
+
+
+def gram_of(z, r):
+    n = z.shape[0]
+    return z.T @ z / n, z.T @ r / n, float(r @ r) / n
+
+
+def test_finish_on_a_singular_support_keeps_sweeping():
+    # two equal rows of a make a[S, S] singular while both are in the
+    # support, so the finish is rejected and the sweeps converge alone
+    z, r, _ = sparse_instance(40, 6, 3, 19)
+    a, qn, r0n = gram_of(z, r)
+    a[1], a[:, 1] = a[0], a[:, 0]
+    qn[1] = qn[0]
+    start = np.array([0.4, 0.3, 0.0, 0.0, 0.0, 0.0])
+    got = _fit_gram(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = one_at_a_time(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert got[4] and got[0][0] != 0.0 and got[0][1] != 0.0
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_finish_rejects_a_nearly_singular_support():
+    # column 9 repeats column 1, but a[1] and a[9] may differ in the last
+    # bits, so a[S, S] is singular in all but rounding.  With lam far
+    # below the KKT tolerance, a solve there returns coefficients near 1e6
+    # that still pass the KKT test; the pivot floor turns it down
+    gen = np.random.default_rng(109)
+    z = gen.standard_normal((40, 12))
+    z[:, 9] = z[:, 1]
+    a, qn, r0n = gram_of(z, gen.standard_normal(40))
+    got = _fit_gram(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = one_at_a_time(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert got[4] and np.abs(got[0]).max() < 1.0
+    cap = DEFAULT_TOL * math.sqrt(r0n)
+    assert exact_objective(a, qn, r0n, 1e-10, None, got[0]) <= (
+        exact_objective(a, qn, r0n, 1e-10, None, want[0]) + Fraction(cap)
+    )
+
+
+def test_finish_at_zero_penalty_is_least_squares():
+    z, r, _ = sparse_instance(60, 8, 3, 20)
+    a, qn, r0n = gram_of(z, r)
+    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged and sweeps < one_at_a_time(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+    assert kkt <= 1e-12 * math.sqrt(r0n)
+    assert_allclose(delta, np.linalg.solve(a, qn), rtol=0.0, atol=1e-12)
+
+
+def test_finish_skips_zero_variance_columns():
+    z, r, _ = sparse_instance(50, 7, 3, 21)
+    z[:, 4] = 0.0
+    a, qn, r0n = gram_of(z, r)
+    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert converged and delta[4] == 0.0
+    assert kkt <= 1e-12 * math.sqrt(r0n)
+    assert sweeps < one_at_a_time(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+    assert_allclose(delta, split_lasso([(z, r)], 0.05), atol=1e-7)
+
+
+def test_finish_with_a_tie_at_the_penalty():
+    # delta_star solves the problem with |g_2| = lam exactly, so coordinate
+    # 2 sits on the boundary of the support.  The sweeps carry it in at a
+    # small positive value that decays towards zero; the finish on that
+    # support puts it at zero up to rounding, off its sign, and is
+    # rejected, so the sweeps converge at tol as one_at_a_time does.
+    gen = np.random.default_rng(22)
+    z = gen.standard_normal((50, 5))
+    a = z.T @ z / 50
+    lam = 0.3
+    delta_star = np.array([1.5, -0.8, 0.0, 0.0, 0.0])
+    qn = a @ delta_star + np.array([lam, -lam, lam, 0.1, -0.2])
+    got = _fit_gram(a, qn, 4.0, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = one_at_a_time(a, qn, 4.0, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert got[4] and got[3] <= DEFAULT_TOL * 2.0
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert_allclose(got[0], delta_star, rtol=0.0, atol=1e-8)
+
+
+def test_desk_size_solves_end_on_the_exact_finish():
+    # fails if the finish never fires: a stop at tol leaves KKT gaps near
+    # 1e-8, four orders above these bounds
+    z, r, _ = sparse_instance(150, 200, 10, 23)
+    lam = penalty_level(1.0, 200, 150)
+    sol = lasso_fit(LassoProblem([(z, r)], lam))
+    a, qn, r0n = gram_of(z, r)
+    rms = math.sqrt(r0n)
+    assert sol.converged and sol.kkt_violation <= 1e-12 * rms
+    assert kkt_gap(qn - a @ sol.coef, sol.coef, lam) <= 1e-12 * rms
+    assert sol.iterations < one_at_a_time(a, qn, r0n, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+
+    est = nodewise_precision(z)
+    gram = z.T @ z / 150
+    for j in range(200):
+        others = np.arange(200) != j
+        gamma = -est.theta[j, others] * est.tau_sq[j]
+        g = gram[j, others] - gram[np.ix_(others, others)] @ gamma
+        assert kkt_gap(g, gamma, est.lambdas[j]) <= 1e-12 * math.sqrt(gram[j, j])
 
 
 # ----------------------------------------------------------------------

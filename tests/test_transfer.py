@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transfarm.factor import decompose, residualize
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.solver import LassoProblem, lasso_fit, penalty_level, scaled_lasso
 from transfarm.transfer import (
+    MODE_FARM,
+    MODE_LASSO,
     Dataset,
     TransferConfig,
     detect_and_fit,
@@ -292,3 +296,64 @@ def test_all_kept_equals_full_set_run():
     assert report.selected == (1, 2)
     direct = two_step_fit(target, clones, (1, 2), config)
     assert np.array_equal(fit.coef, direct.coef)
+
+
+# ----------------------------------------------------------------------
+# invariants of detect_and_fit under response scale and source order
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def transfer_problems(draw):
+    """A toy target, 2-4 sources of varying size and contrast, and a config."""
+    seed = draw(st.integers(0, 2**20))
+    p = 12
+    beta = sparse_beta(p, 3)
+    target = make_dataset(36, p, beta, seed=seed)
+    sources = []
+    for k in range(draw(st.integers(2, 4))):
+        shift = draw(st.sampled_from([0.0, 0.3, 1.5]))
+        n_k = draw(st.integers(24, 48))
+        sources.append(make_dataset(n_k, p, beta + shift, seed=seed + 1 + k, role=k + 1))
+    eps0 = draw(st.sampled_from([None, 0.0, 0.5, 2.0]))
+    config = TransferConfig(
+        rank=draw(st.sampled_from([None, 1])),
+        mode=draw(st.sampled_from([MODE_FARM, MODE_LASSO])),
+        threshold="2L0" if eps0 is None else "eps0",
+        eps0=0.0 if eps0 is None else eps0,
+        seed=draw(st.integers(0, 100)),
+    )
+    return target, sources, config
+
+
+@settings(max_examples=30, deadline=None)
+@given(transfer_problems())
+def test_detect_and_fit_is_equivariant_to_response_scale(problem):
+    target, sources, config = problem
+    fit, report = detect_and_fit(target, sources, config)
+    # a power of two rescales every float operation exactly
+    scaled = [Dataset(x=d.x, y=4.0 * d.y, role=d.role) for d in [target, *sources]]
+    fit4, report4 = detect_and_fit(scaled[0], scaled[1:], config)
+    assert np.array_equal(fit4.coef, 4.0 * fit.coef)
+    assert np.array_equal(fit4.pooled_coef, 4.0 * fit.pooled_coef)
+    assert fit4.sigma_hat == 4.0 * fit.sigma_hat
+    assert np.array_equal(report4.source_losses, 16.0 * report.source_losses)
+    assert report4.target_loss == 16.0 * report.target_loss
+    assert report4.selected == report.selected
+
+
+@settings(max_examples=30, deadline=None)
+@given(transfer_problems(), st.randoms(use_true_random=False))
+def test_detect_and_fit_follows_a_permutation_of_the_sources(problem, random):
+    target, sources, config = problem
+    fit, report = detect_and_fit(target, sources, config)
+    order = list(range(len(sources)))
+    random.shuffle(order)  # new source i + 1 is old source order[i] + 1
+    moved = [Dataset(x=sources[k].x, y=sources[k].y, role=i + 1) for i, k in enumerate(order)]
+    fit_m, report_m = detect_and_fit(target, moved, config)
+    # each detection fit pools the target with one source, so losses move bitwise
+    assert np.array_equal(report_m.source_losses, report.source_losses[order])
+    assert report_m.target_loss == report.target_loss
+    assert report_m.selected == tuple(i + 1 for i, k in enumerate(order) if k + 1 in report.selected)
+    # the pooled Gram sums its blocks in role order, so only the last bits move
+    assert np.max(np.abs(fit_m.coef - fit.coef)) <= 1e-12 * np.max(np.abs(fit.coef))
