@@ -17,6 +17,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -45,8 +46,11 @@ def ingest_dataset(path: str, response: str = "y"):
     """Read a header CSV into (x, y, feature_names).
 
     The response column is removed from the design; remaining columns
-    keep file order.  Precise cell coordinates are reported on parse
-    failures (data rows count from 1).
+    keep file order.  One np.loadtxt call parses the data rows.  Where it
+    refuses the file, or its array fails a check (_load_table), the row
+    loop (_read_rows) reads the file again: it takes every float()
+    spelling and reports precise cell coordinates on parse failures
+    (data rows count from 1).
     """
     if not os.path.isfile(path):
         raise UsageError(f"input file not found: {path}")
@@ -66,30 +70,61 @@ def ingest_dataset(path: str, response: str = "y"):
         feature_names = [h for i, h in enumerate(header) if i != y_col]
         if not feature_names:
             raise UsageError(f"{path}: no feature columns besides {response!r}")
-        xs, ys = [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+        table = _load_table(fh.readlines(), len(header))
+        if table is None:
+            # the lines are freed by now, so the row loop streams the file
+            fh.seek(0)
+            next(reader)
+            table = _read_rows(path, header, reader)
+    return np.delete(table, y_col, axis=1), table[:, y_col].copy(), feature_names
+
+
+def _load_table(lines: list[str], width: int):
+    """The data lines as one array, or None where the row loop must decide.
+
+    The lines end where csv.reader ends them (readlines on a file opened
+    with newline="").  np.loadtxt skips blank lines, which the row loop
+    rejects, so the array is kept only with one row per line, the
+    header's width, at least 2 rows and every value finite.
+    comments=None keeps "1#2" from parsing as 1; the "no data" warning
+    of a header-only file means too few rows.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape != (len(lines), width) or len(lines) < 2 or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _read_rows(path: str, header: list[str], reader):
+    """Parse the data rows cell by cell, naming the first bad row and column."""
+    rows = []
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise UsageError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+            )
+        vals = []
+        for i, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise UsageError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: non-numeric value at row {row_no}, column {header[i]}"
+                ) from None
+            if not math.isfinite(v):
+                raise UsageError(
+                    f"{path}: non-finite value at row {row_no}, column {header[i]}"
                 )
-            vals = []
-            for i, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise UsageError(
-                        f"{path}: non-numeric value at row {row_no}, column {header[i]}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise UsageError(
-                        f"{path}: non-finite value at row {row_no}, column {header[i]}"
-                    )
-                vals.append(v)
-            ys.append(vals[y_col])
-            xs.append([v for i, v in enumerate(vals) if i != y_col])
-    if len(xs) < 2:
-        raise UsageError(f"{path}: need at least 2 data rows, got {len(xs)}")
-    return np.array(xs), np.array(ys), feature_names
+            vals.append(v)
+        rows.append(vals)
+    if len(rows) < 2:
+        raise UsageError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    return np.array(rows)
 
 
 def _fmt(v) -> str:
@@ -115,9 +150,12 @@ def write_dataset(path: str, x: np.ndarray, y: np.ndarray, response: str = "y",
     """Emit a dataset as a header CSV that ingest_dataset reads back."""
     if feature_names is None:
         feature_names = [f"x{j + 1}" for j in range(x.shape[1])]
-    header = [response] + feature_names
-    rows = ([y[i]] + list(x[i]) for i in range(x.shape[0]))
-    _write_csv(path, header, rows)
+    # '%.17g' % v gives the bytes _fmt gives a float: one formatter serves both
+    line = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([response] + feature_names)
+        for y_i, x_i in zip(y.tolist(), x):
+            fh.write(line % (y_i, *x_i.tolist()))
 
 
 # ======================================================================

@@ -88,6 +88,9 @@ class SimConfig:
     redraw_informative: bool = True
 
     def __post_init__(self):
+        for name in ("n0", "nk"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
         if self.s > self.p:
             raise ValueError(f"s = {self.s} exceeds p = {self.p}")
         if not 0 <= self.a_size <= self.k_sources:
@@ -105,6 +108,8 @@ class SimConfig:
         unknown = [name for name in self.roster if name not in ALL_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}; choose from {ALL_ESTIMATORS}")
+        # the pipeline checks its own knobs: build the config a replication uses
+        _transfer_config(self, MODE_FARM, 0)
 
 
 @dataclass

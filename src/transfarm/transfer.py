@@ -142,6 +142,8 @@ class TransferConfig:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.lambda_c < 0:
             raise ValueError(f"lambda_c must be nonnegative, got {self.lambda_c}")
+        if self.max_rank is not None and self.max_rank < 1:
+            raise ValueError(f"max_rank must be at least 1, got {self.max_rank}")
 
     def effective_rank(self) -> int | None:
         # Plain-lasso mode strips the factor step entirely.

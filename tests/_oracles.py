@@ -3,8 +3,13 @@
 Nothing here may call into the solver or eigensolver under test; every
 routine takes a deliberately different algorithmic route (characteristic
 polynomial instead of tridiagonalization, projected gradient instead of
-coordinate descent, normal equations instead of iterative fitting).
+coordinate descent, normal equations instead of iterative fitting, the
+cell-by-cell CSV row loop instead of np.loadtxt).
 """
+
+import csv
+import math
+import os
 
 import numpy as np
 
@@ -138,3 +143,62 @@ def gaussian_max_quantile(dim, level, samples=200000, seed=987654321):
     gen = np.random.default_rng(seed)
     draws = np.max(np.abs(gen.standard_normal((samples, dim))), axis=1)
     return float(np.quantile(draws, level))
+
+
+# ======================================================================
+# CSV ingest, one float() call per cell
+# ======================================================================
+
+
+class IngestError(Exception):
+    """A file ingest_rows rejects; the message is the one the CLI prints."""
+
+
+def ingest_rows(path, response="y"):
+    """The CLI's ingest_dataset as a csv.reader row loop: (x, y, names).
+
+    Accepts every float() spelling and names the first bad row and
+    column, counting data rows from 1.
+    """
+    if not os.path.isfile(path):
+        raise IngestError(f"input file not found: {path}")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestError(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        hits = [i for i, h in enumerate(header) if h == response]
+        if not hits:
+            raise IngestError(f"{path}: response column {response!r} not found")
+        if len(hits) > 1:
+            raise IngestError(f"{path}: response column {response!r} appears twice")
+        y_col = hits[0]
+        feature_names = [h for i, h in enumerate(header) if i != y_col]
+        if not feature_names:
+            raise IngestError(f"{path}: no feature columns besides {response!r}")
+        xs, ys = [], []
+        for row_no, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                )
+            vals = []
+            for i, cell in enumerate(row):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise IngestError(
+                        f"{path}: non-numeric value at row {row_no}, column {header[i]}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise IngestError(
+                        f"{path}: non-finite value at row {row_no}, column {header[i]}"
+                    )
+                vals.append(v)
+            ys.append(vals[y_col])
+            xs.append([v for i, v in enumerate(vals) if i != y_col])
+    if len(xs) < 2:
+        raise IngestError(f"{path}: need at least 2 data rows, got {len(xs)}")
+    return np.array(xs), np.array(ys), feature_names

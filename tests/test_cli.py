@@ -9,12 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import transfarm.cli
-from transfarm.cli import ingest_dataset, main, write_dataset
+from transfarm.cli import UsageError, ingest_dataset, main, write_dataset
 from transfarm.numerics import RngStream
 from transfarm.simlab import SimConfig, SimResult
 from transfarm.transfer import Dataset, TransferConfig, detect_sources, two_step_fit
+
+from _oracles import IngestError, ingest_rows
 
 
 def read_rows(path):
@@ -67,6 +71,34 @@ def test_ingest_roundtrip_is_exact(tmp_path):
     assert names == ["a", "b", "c", "d"]
 
 
+def test_write_dataset_matches_per_cell_format(tmp_path):
+    gen = np.random.default_rng(4)
+    x = gen.standard_normal((5, 5)) * 10.0 ** gen.integers(-300, 300, (5, 5))
+    x[0] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0]
+    y = gen.standard_normal(5)
+    path = str(tmp_path / "d.csv")
+    write_dataset(path, x, y)
+    cells = [["y", "x1", "x2", "x3", "x4", "x5"]]
+    cells += [[transfarm.cli._fmt(v) for v in [y[i], *x[i]]] for i in range(5)]
+    with open(path, newline="") as fh:
+        assert fh.read() == "".join(",".join(row) + "\n" for row in cells)
+    x2, y2, _ = ingest_dataset(path)
+    assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
+
+
+def test_writer_files_take_the_fast_path(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row loop ran on a write_dataset file")
+
+    gen = np.random.default_rng(5)
+    x, y = gen.standard_normal((40, 6)), gen.standard_normal(40)
+    path = str(tmp_path / "d.csv")
+    write_dataset(path, x, y)
+    monkeypatch.setattr(transfarm.cli, "_read_rows", refuse)
+    x2, y2, _ = ingest_dataset(path)
+    assert np.array_equal(x, x2) and np.array_equal(y, y2)
+
+
 def test_ingest_reads_response_from_any_column(tmp_path):
     path = str(tmp_path / "d.csv")
     path_ = path
@@ -89,6 +121,8 @@ def test_ingest_reads_response_from_any_column(tmp_path):
         ("y,x1,x2\n1,2,3\n4,oops,6\n", "non-numeric value at row 2, column x1"),
         ("y,x1\n1,inf\n2,3\n", "non-finite value at row 1, column x1"),
         ("y,x1\n1,2\n", "need at least 2 data rows"),
+        ("y,x1\n1,2\n\n3,4\n", "row 2 has 0 cells, expected 2"),
+        ("y,x1\n1,2#3\n3,4\n", "non-numeric value at row 1, column x1"),
     ],
 )
 def test_ingest_rejects_malformed_input(tmp_path, content, message):
@@ -102,6 +136,80 @@ def test_ingest_rejects_malformed_input(tmp_path, content, message):
 def test_ingest_missing_file():
     with pytest.raises(Exception, match="input file not found"):
         ingest_dataset("/nonexistent/nope.csv")
+
+
+_NUMBERS = st.one_of(
+    st.builds(
+        lambda v, spelling: spelling % v,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["%r", "%.17g", "%.3e", "%.6E", "%.2f", "%+g"]),
+    ),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_CELLS = st.sampled_from([
+    "+.5", "-.5e-3", "1E+2", '"1.5"', '"2', "1_0", "1_000", "\u0661\u0662", "nan", "-inf",
+    "Infinity", "1e500", "1e-400", "1#2", "0x10", "", " ", "abc", "1,5", "1\n2",
+])
+_PADDING = st.sampled_from(["", " ", "  ", "\t", "\x0c", "\u3000"])
+_CELLS = st.builds(
+    lambda pad, cell, tail: pad + cell + tail,
+    _PADDING,
+    # one cell in 16 is odd, so that about half the files are accepted
+    st.integers(0, 15).flatmap(lambda k: _ODD_CELLS if k == 0 else _NUMBERS),
+    _PADDING,
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSVs: mostly well-formed rows, with ragged, blank and odd lines."""
+    width = draw(st.integers(2, 4))
+    header = [f"x{j}" for j in range(1, width)]
+    header.insert(draw(st.integers(0, width - 1)), "y")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 24 + ["ragged", "blank", "spaces"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t ", " " * width])))
+        else:
+            cells = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(",".join(draw(st.lists(_CELLS, min_size=cells, max_size=cells))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["", newline, newline, newline, newline * 2]))
+    return newline.join(lines) + ending
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+@example("y,x1\n1.5e3,-2E-2\n+.5,  7 \n")
+@example('y,x1\n"1.5",2\n1_0,\u0661\n')
+@example("y,x1\r\n1,2\r\n3,4\r\n")
+@example("y,x1\n1,2\n\n3,4\n")
+@example("y,x1\n1,2\n  \n3,4\n")
+@example("y,x1\n1,2\n3,4\n\n")
+@example("y,x1\n1,2#3\n3,4\n")
+@example("y,x1\n1,nan\n3,inf\n")
+@example("y,x1\n1,2,3\n4\n")
+@example("y,x1\n")
+def test_ingest_matches_the_row_loop(tmp_path, text):
+    path = str(tmp_path / "d.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    try:
+        x, y, names = ingest_rows(path)
+    except IngestError as exc:
+        with pytest.raises(UsageError) as got:
+            ingest_dataset(path)
+        assert str(got.value) == str(exc)
+        return
+    x2, y2, names2 = ingest_dataset(path)
+    assert names2 == names
+    for want, have in ((x, x2), (y, y2)):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +497,15 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--sim-p", "10", "--sim-s", "20"], "s = 20 exceeds p = 10"),
         (["simulate", "--sim-roster", ""], "roster must name at least one estimator"),
         (["simulate", "--threads", "-3"], "threads must be at least 1, got -3"),
+        (["simulate", "--folds", "1"], "folds must be at least 2, got 1"),
+        (["simulate", "--lambda-c", "-1"], "lambda_c must be nonnegative, got -1.0"),
+        (["simulate", "--sim-max-rank", "0"], "max_rank must be at least 1, got 0"),
+        (["simulate", "--sim-nk", "1"], "nk must be at least 2, got 1"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
          "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
-         "simulate-threads-below-1"],
+         "simulate-threads-below-1", "simulate-folds", "simulate-lambda-c",
+         "simulate-max-rank", "simulate-nk"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)
