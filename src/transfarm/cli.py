@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
@@ -54,7 +55,7 @@ def ingest_dataset(path: str, response: str = "y"):
     """
     if not os.path.isfile(path):
         raise UsageError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
+    with _decoding(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -77,6 +78,15 @@ def ingest_dataset(path: str, response: str = "y"):
             next(reader)
             table = _read_rows(path, header, reader)
     return np.delete(table, y_col, axis=1), table[:, y_col].copy(), feature_names
+
+
+@contextlib.contextmanager
+def _decoding(path: str):
+    """Report bytes the locale's encoding cannot decode as an input error."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not valid {exc.encoding} text ({exc.reason})") from None
 
 
 def _load_table(lines: list[str], width: int):
@@ -271,15 +281,16 @@ _SHARED = [
     ("out", ".", _c_str),
     ("threads", os.cpu_count() or 1, _c_positive_int),
 ]
+# pipeline defaults are TransferConfig's, typed as their converters return them
 _DATA = [
     ("target", None, _c_str),
     ("source", [], _c_paths),
     ("response", "y", _c_str),
-    ("rank", "auto", _c_rank),
-    ("lambda_c", 0.5, _c_float),
-    ("folds", 3, _c_int),
-    ("threshold", "2L0", _c_threshold),
-    ("mode", "farm", _c_mode),
+    ("rank", TransferConfig.rank, _c_rank),
+    ("lambda_c", TransferConfig.lambda_c, _c_float),
+    ("folds", TransferConfig.folds, _c_int),
+    ("threshold", (TransferConfig.threshold, TransferConfig.eps0), _c_threshold),
+    ("mode", TransferConfig.mode, _c_mode),
 ]
 _INFER = [
     ("alpha", 0.05, _c_float),
@@ -346,7 +357,7 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with _decoding(path), open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

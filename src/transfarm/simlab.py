@@ -79,10 +79,10 @@ class SimConfig:
     replications: int = 30
     base_seed: int = 0
     roster: tuple[str, ...] = ALL_ESTIMATORS
-    lambda_c: float = 0.5
-    folds: int = 3
-    threshold: str = "2L0"
-    eps0: float = 0.0
+    lambda_c: float = TransferConfig.lambda_c
+    folds: int = TransferConfig.folds
+    threshold: str = TransferConfig.threshold
+    eps0: float = TransferConfig.eps0
     fix_rank: bool = False
     max_rank: int | None = None
     redraw_informative: bool = True

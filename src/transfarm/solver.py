@@ -138,14 +138,12 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
 
     Each sweep updates the coordinates in index order, skipping those
     with a[j, j] <= 0.  A coordinate that is zero stays zero when
-    |qn[j] - v[j]| <= lam, so only the nonzeros are visited one at a
-    time; each run of zeros between two of them is tested at once
-    against the current v, and only a coordinate that fails the test is
-    updated.  Before that test, a run is passed over when its smallest
-    slack lam - |qn[j] - v[j]| at the start of the sweep exceeds a bound
-    on how far v has moved since, rounding included.  Every update of v
-    happens in the same order with the same operands as a visit to each
-    coordinate in turn, so the sweeps are the same bit for bit.
+    |qn[j] - v[j]| <= lam, so the nonzeros are visited one at a time and
+    each run of zeros between two of them is tested at once against the
+    current v; only a coordinate that fails the test is updated, and the
+    run's test resumes after it.  Every update of v happens in the same
+    order with the same operands as a visit to each coordinate in turn,
+    so the sweeps are the same bit for bit.
 
     A sweep that leaves the sign pattern of delta unchanged, on a nonempty
     support S, is followed by the exact finish: delta_S solves
@@ -164,28 +162,13 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     b = b.copy()
     rms = math.sqrt(r0n) if r0n > 0 else 0.0
     scale = rms if rms > 0 else 1.0
-    change_cap = tol * scale
-    kkt_cap = tol * scale
+    cap = tol * scale
     diag = np.diagonal(a).copy()
     diag_l = diag.tolist()
     qn_l = qn.tolist()
     # a zero coordinate leaves zero only when |qn[j] - v[j]| > bound[j];
     # the infinite bound keeps zero-variance coordinates out of the test
     bound = np.where(diag > 0.0, lam, math.inf)
-    # an update of coordinate k moves v[j], j != k, by at most reach[k] * |step|
-    reach = np.abs(a)
-    np.fill_diagonal(reach, 0.0)
-    reach = reach.max(axis=1).tolist()
-    # Each update may move v[j] up to half an ulp of |v[j]| past its exact
-    # step, and qn - v and the slack round too.  On a run that may be
-    # passed over |v[j]| <= qmax + lam + drift, so the margin
-    # ulp_scale * (updates + 2) * (qmax + lam + drift) covers all of it
-    # about four times over.
-    ulp_scale = 4.0 * np.finfo(np.float64).eps
-    qmax = float(np.abs(qn).max())
-    slack = np.empty(p + 1)
-    slack[p] = math.inf  # lets a run start one past the last coordinate
-    head = slack[:p]
     v = a @ b
     base = qn if offset is None else qn - a @ offset
     tried = False  # the current sign pattern has failed its exact finish
@@ -196,24 +179,16 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
         max_change = 0.0
         sign = np.sign(delta)
         nonzero = np.flatnonzero(delta)
-        np.subtract(qn, v, out=head)
-        np.abs(head, out=head)
-        np.subtract(bound, head, out=head)
-        head[nonzero] = math.inf
         # run i holds the zeros before nonzero i (the last run ends at p)
-        run_slack = np.minimum.reduceat(slack, np.concatenate(([0], nonzero + 1))).tolist()
         ends = nonzero.tolist()
         ends.append(p)
-        drift = 0.0  # sum of reach[k] * |step| over this sweep's updates
-        updates = 0
-        limit = ulp_scale * 2 * (qmax + lam)
         lo = 0
-        for least, end in zip(run_slack, ends):
+        for end in ends:
             while True:
                 # next coordinate to visit: the first zero in [lo, end)
                 # that fails its test, else the nonzero at end
                 j = end
-                if lo < end and least <= limit:
+                if lo < end:
                     hit = np.abs(qn[lo:end] - v[lo:end]) > bound[lo:end]
                     first = int(hit.argmax())
                     if hit[first]:
@@ -238,9 +213,6 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
                         moved = abs(step)
                         if moved > max_change:
                             max_change = moved
-                        drift += reach[j] * moved
-                        updates += 1
-                        limit = drift + ulp_scale * (updates + 2) * (qmax + lam + drift)
                 lo = j + 1
                 if j == end:
                     break
@@ -256,13 +228,13 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
                 exact_b = exact if offset is None else offset + exact
                 exact_v = a @ exact_b
                 exact_kkt = float(_kkt_violation(qn - exact_v, exact, lam))
-                if exact_kkt <= kkt_cap:
+                if exact_kkt <= cap:
                     delta, b, v, kkt = exact, exact_b, exact_v, exact_kkt
                     converged = True
                     break
-        v = a @ b  # fresh product keeps incremental drift out of the tests below
+        v = a @ b  # fresh product keeps accumulated rounding out of the tests below
         kkt = float(_kkt_violation(qn - v, delta, lam))
-        if max_change <= change_cap and kkt <= kkt_cap:
+        if max_change <= cap and kkt <= cap:
             converged = True
             break
     objective = 0.5 * (r0n - 2.0 * float(qn @ b) + float(b @ v))

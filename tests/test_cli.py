@@ -49,10 +49,7 @@ def make_files(tmp_path, seed=0, n=50, p=8, n_sources=2):
 
 
 def pipeline_defaults(seed=0):
-    return TransferConfig(
-        lambda_c=0.5, rank=None, mode="farm", folds=3,
-        threshold="2L0", eps0=0.0, seed=seed,
-    )
+    return TransferConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +133,28 @@ def test_ingest_rejects_malformed_input(tmp_path, content, message):
 def test_ingest_missing_file():
     with pytest.raises(Exception, match="input file not found"):
         ingest_dataset("/nonexistent/nope.csv")
+
+
+@pytest.mark.parametrize(
+    "name,content,argv",
+    [
+        ("data.csv", b"y,x1\n1,2\n3,\xff4\n", ["--target", "{f}"]),
+        ("header.csv", b"y,x\xff1\n1,2\n3,4\n", ["--target", "{f}"]),
+        ("run.cfg", b"lambda_c = 0.\xff5\n", ["--target", "{t}", "--config", "{f}"]),
+    ],
+    ids=["data-row", "header", "config"],
+)
+def test_undecodable_bytes_exit_1_naming_the_file(tmp_path, capsys, name, content, argv):
+    paths, _ = make_files(tmp_path, n_sources=0)
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [a.replace("{f}", str(bad)).replace("{t}", paths[0]) for a in argv]
+    assert main(["fit", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "numerical failure" not in err
+    assert not out.exists()
 
 
 _NUMBERS = st.one_of(
