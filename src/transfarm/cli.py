@@ -401,11 +401,11 @@ def _load_datasets(m: dict):
     if not m["target"]:
         raise UsageError("--target is required")
     x, y, _ = ingest_dataset(m["target"], m["response"])
-    target = Dataset(x=x, y=y, role=0)
+    target = Dataset(x=x, y=y)
     sources = []
-    for i, path in enumerate(m["source"]):
+    for path in m["source"]:
         sx, sy, _ = ingest_dataset(path, m["response"])
-        sources.append(Dataset(x=sx, y=sy, role=i + 1))
+        sources.append(Dataset(x=sx, y=sy))
     return target, sources
 
 
@@ -509,9 +509,6 @@ def _cmd_infer(m: dict) -> int:
 def _cmd_simulate(m: dict) -> int:
     rule, eps0 = m["threshold"]
     sim = {f.name: m["sim_" + f.name] for f in _SIM_FIELDS}
-    if len(sim["gamma0"]) != sim["rank"] and sim["gamma0"] == (0.5, 0.5):
-        # the stock factor effect follows the configured rank
-        sim["gamma0"] = (0.5,) * sim["rank"]
     a_sizes = sim.pop("a_size")
     configs = [
         _config(

@@ -57,7 +57,7 @@ class SimConfig:
     passes the true rank to every estimator instead of the
     eigenvalue-ratio choice.  redraw_informative redraws the informative
     subset each replication; otherwise one subset is drawn per
-    experiment.
+    experiment.  The stock gamma0 (0.5, 0.5) widens to (0.5,) * rank.
     """
 
     n0: int = 300
@@ -97,6 +97,9 @@ class SimConfig:
             raise ValueError(
                 f"a_size must lie in [0, {self.k_sources}], got {self.a_size}"
             )
+        if len(self.gamma0) != self.rank and self.gamma0 == (0.5, 0.5):
+            # the stock factor effect follows the configured rank
+            self.gamma0 = (0.5,) * self.rank
         if len(self.gamma0) != self.rank:
             raise ValueError(
                 f"gamma0 has length {len(self.gamma0)}, expected rank {self.rank}"
@@ -183,7 +186,7 @@ def generate(
     """Draw one replication of the design.
 
     informative overrides the random informative subset (1-based source
-    roles); by default a_size sources are chosen uniformly without
+    positions); by default a_size sources are chosen uniformly without
     replacement from substream (1, 0).
     """
     p, r = config.p, config.rank
@@ -198,7 +201,7 @@ def generate(
                 f"informative has {len(informative)} entries, expected {config.a_size}"
             )
         if informative and (informative[0] < 1 or informative[-1] > config.k_sources):
-            raise ValueError(f"informative roles must lie in 1..{config.k_sources}")
+            raise ValueError(f"informative sources must lie in 1..{config.k_sources}")
 
     beta = np.zeros(p)
     beta[: config.s] = config.signal
@@ -241,7 +244,7 @@ def generate(
         noise = ds_stream.generator(4).standard_normal(n)
         x = factors @ loadings.T + idio
         y = idio @ coef + factors @ gam + noise
-        datasets.append(Dataset(x=x, y=y, role=k))
+        datasets.append(Dataset(x=x, y=y))
         truth.factors.append(factors)
         truth.loadings.append(loadings)
         truth.idiosyncratic.append(idio)

@@ -300,24 +300,18 @@ def lasso_fit(
 class ScaledLassoFit:
     coef: np.ndarray
     sigma: float
-    lambda0: float
     alternations: int
 
 
-def scaled_lasso(
-    z: np.ndarray,
-    r: np.ndarray,
-    lambda0: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ScaledLassoFit:
+def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     """Alternating Lasso / noise-level estimate.
 
     Iterates beta <- Lasso(lam = sigma * lambda0) and
     sigma <- ||r - z beta|| / sqrt(n) from sigma = ||r|| / sqrt(n) until
-    sigma moves by less than 1e-6 relative.  lambda0 defaults to
-    sqrt(2 log p / n).  Scaling r by a constant scales sigma by the same
-    constant with an identical iterate path.
+    sigma moves by less than 1e-6 relative, with lambda0 =
+    sqrt(2 log p / n) and the solver's default tolerance and sweep cap.
+    Scaling r by a constant scales sigma by the same constant with an
+    identical iterate path.
     """
     z = check_matrix(z, "z")
     r = check_vector(r, "r")
@@ -326,10 +320,7 @@ def scaled_lasso(
         raise ValueError(f"z has {n} rows, r has {r.size}")
     if n < 1 or p < 1:
         raise ValueError("z must have at least one row and one column")
-    if lambda0 is None:
-        lambda0 = math.sqrt(2.0 * math.log(p) / n)
-    elif lambda0 < 0:
-        raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
+    lambda0 = math.sqrt(2.0 * math.log(p) / n)
 
     a, qn, r0n = _gram_pieces([(z, r)])
     sigma = math.sqrt(r0n)
@@ -339,10 +330,12 @@ def scaled_lasso(
     coef = np.zeros(p)
     for it in range(100):
         lam = sigma * lambda0
-        coef, _, _, _, converged = _fit_gram(a, qn, r0n, lam, None, coef, tol, max_iter)
+        coef, _, _, _, converged = _fit_gram(
+            a, qn, r0n, lam, None, coef, DEFAULT_TOL, DEFAULT_MAX_ITER
+        )
         if not converged:
             raise ConvergenceError(
-                f"scaled lasso inner solve hit {max_iter} sweeps at alternation {it + 1}"
+                f"scaled lasso inner solve hit {DEFAULT_MAX_ITER} sweeps at alternation {it + 1}"
             )
         resid = r - z @ coef
         sigma_new = math.sqrt(float(resid @ resid) / n)
@@ -351,9 +344,7 @@ def scaled_lasso(
         # a noiseless response decays sigma geometrically forever; treat a
         # collapse far below the initial scale as converged-at-zero-noise
         if sigma_new < 1e-8 * sigma_init or abs(sigma_new - sigma) < 1e-6 * sigma:
-            return ScaledLassoFit(
-                coef=coef, sigma=sigma_new, lambda0=lambda0, alternations=it + 1
-            )
+            return ScaledLassoFit(coef=coef, sigma=sigma_new, alternations=it + 1)
         sigma = sigma_new
     raise ConvergenceError("scaled lasso did not settle within 100 alternations")
 

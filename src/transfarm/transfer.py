@@ -56,7 +56,8 @@ class DatasetSplit:
 
 @dataclass
 class Dataset:
-    """One dataset; role 0 is the target, k >= 1 is source k.
+    """One dataset: the target, or source k at 1-based position k in the
+    source list, sources[k - 1].
 
     x and y must not be modified after construction: split() memoises
     the factor split of each rank rule on the dataset, so detection,
@@ -65,7 +66,6 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
-    role: int = 0
     _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,8 +77,6 @@ class Dataset:
             )
         if self.x.shape[0] < 2:
             raise ValueError("dataset needs at least 2 rows")
-        if self.role < 0:
-            raise ValueError(f"role must be nonnegative, got {self.role}")
 
     @property
     def n(self) -> int:
@@ -92,11 +90,7 @@ class Dataset:
         """The factor split under config's rank rule, made on first use."""
         key = (config.effective_rank(), config.max_rank)
         if key not in self._splits:
-            try:
-                d = decompose(self.x, *key)
-            except ValueError as exc:
-                name = "target" if self.role == 0 else f"source {self.role}"
-                raise ValueError(f"{name}: {exc}") from None
+            d = decompose(self.x, *key)
             y_tilde = residualize(self.y, d)
             # every fit of this dataset shares the split, so none may write to it
             for a in (d.factors, d.loadings, d.idiosyncratic, d.gram_eigenvalues, y_tilde):
@@ -114,12 +108,11 @@ class TransferConfig:
     selects each dataset's rank by the eigenvalue-ratio rule.  threshold
     "2L0" adds twice the target-only loss to the detection cutoff;
     "eps0" adds eps0 * sigma_hat^2 instead.  Every Lasso runs at the
-    solver's DEFAULT_TOL and DEFAULT_MAX_ITER.
+    penalty lambda_c * sigma_hat * sqrt(2 log p / N), N its row count,
+    and at the solver's defaults; a source is named by its 1-based position.
     """
 
     lambda_c: float = DEFAULT_LAMBDA_C
-    lambda_pooled: float | None = None
-    lambda_correction: float | None = None
     rank: int | None = None
     max_rank: int | None = None
     mode: str = MODE_FARM
@@ -154,8 +147,8 @@ class TransferConfig:
 class TransferFit:
     """Result of the two-step estimator.
 
-    coef = pooled_coef + correction_coef exactly; source_set is the
-    sorted tuple of source roles that entered the pooled step.
+    coef = pooled_coef + correction_coef exactly; source_set is the sorted
+    tuple of the 1-based positions of the sources that entered the pooled step.
     """
 
     pooled_coef: np.ndarray
@@ -182,18 +175,34 @@ class DetectionReport:
     sigma_hat: float
 
 
-def _check_sources(target: Dataset, sources: list[Dataset]):
-    if target.role != 0:
-        raise ValueError(f"target must have role 0, got {target.role}")
-    for i, src in enumerate(sources):
-        if src.role != i + 1:
-            raise ValueError(
-                f"sources must carry roles 1..K in order; position {i} has role {src.role}"
-            )
+def _splits(target: Dataset, sources: list[Dataset], roles, config: TransferConfig) -> dict:
+    """The split of each role in order, role k >= 1 being sources[k - 1],
+    once every source has the target's columns; a failure names its dataset."""
+    for k, src in enumerate(sources, start=1):
         if src.p != target.p:
-            raise ValueError(
-                f"source {src.role} has {src.p} columns, target has {target.p}"
-            )
+            raise ValueError(f"source {k} has {src.p} columns, target has {target.p}")
+    splits = {}
+    for k in roles:
+        try:
+            splits[k] = (sources[k - 1] if k else target).split(config)
+        except ValueError as exc:
+            name = f"source {k}" if k else "target"
+            raise ValueError(f"{name}: {exc}") from None
+    return splits
+
+
+def _lasso(blocks: list, sigma: float, config: TransferConfig, what: str, offset=None):
+    """(coef, lam) of the Lasso on the stacked blocks at the pipeline's
+    penalty rule, with N the blocks' total row count."""
+    n = sum(z.shape[0] for z, _ in blocks)
+    lam = penalty_level(sigma, blocks[0][0].shape[1], n, config.lambda_c)
+    fit = lasso_fit(LassoProblem(blocks, lam, offset=offset))
+    if not fit.converged:
+        raise ConvergenceError(
+            f"{what} did not converge in {DEFAULT_MAX_ITER} sweeps"
+            f" (kkt violation {fit.kkt_violation:.3e})"
+        )
+    return fit.coef, lam
 
 
 def two_step_fit(
@@ -212,43 +221,21 @@ def two_step_fit(
     the order in which source_set is given.
     """
     config = config or TransferConfig()
-    _check_sources(target, sources)
     chosen = sorted(set(int(k) for k in source_set))
     if chosen and (chosen[0] < 1 or chosen[-1] > len(sources)):
         raise ValueError(
             f"source_set must be within 1..{len(sources)}, got {chosen}"
         )
 
-    splits = {k: (sources[k - 1] if k else target).split(config) for k in (0, *chosen)}
+    splits = _splits(target, sources, (0, *chosen), config)
     sigma = splits[0].sigma
-
     blocks = [s.block for s in splits.values()]
-    n_pooled = sum(z.shape[0] for z, _ in blocks)
-
-    lam_pooled = config.lambda_pooled
-    if lam_pooled is None:
-        lam_pooled = penalty_level(sigma, target.p, n_pooled, config.lambda_c)
-    pooled = lasso_fit(LassoProblem(blocks, lam_pooled))
-    if not pooled.converged:
-        raise ConvergenceError(
-            f"transferring step did not converge in {DEFAULT_MAX_ITER} sweeps"
-            f" (kkt violation {pooled.kkt_violation:.3e})"
-        )
-
-    lam_corr = config.lambda_correction
-    if lam_corr is None:
-        lam_corr = penalty_level(sigma, target.p, target.n, config.lambda_c)
-    correction = lasso_fit(LassoProblem([splits[0].block], lam_corr, offset=pooled.coef))
-    if not correction.converged:
-        raise ConvergenceError(
-            f"debiasing step did not converge in {DEFAULT_MAX_ITER} sweeps"
-            f" (kkt violation {correction.kkt_violation:.3e})"
-        )
-
+    pooled, lam_pooled = _lasso(blocks, sigma, config, "transferring step")
+    correction, lam_corr = _lasso(blocks[:1], sigma, config, "debiasing step", offset=pooled)
     return TransferFit(
-        pooled_coef=pooled.coef,
-        correction_coef=correction.coef,
-        coef=pooled.coef + correction.coef,
+        pooled_coef=pooled,
+        correction_coef=correction,
+        coef=pooled + correction,
         source_set=tuple(chosen),
         lambda_pooled=lam_pooled,
         lambda_correction=lam_corr,
@@ -307,39 +294,32 @@ def detect_sources(
     plus the threshold slack.
     """
     config = config or TransferConfig()
-    _check_sources(target, sources)
     if target.n < 2 * config.folds:
         raise ValueError(
             f"need at least {2 * config.folds} target rows for {config.folds} folds,"
             f" got {target.n}"
         )
 
-    u0, y0 = target.split(config).block
-    sigma = target.split(config).sigma
-    source_parts = [src.split(config).block for src in sources]
+    splits = _splits(target, sources, range(len(sources) + 1), config)
+    u0, y0 = splits[0].block
+    sigma = splits[0].sigma
 
     gen = RngStream(config.seed).generator(0)
     split = _fold_split(target.n, config.folds, gen)
-    p = target.p
     k_total = len(sources)
     loss_target = np.zeros(config.folds)
     loss_source = np.zeros((config.folds, k_total))
     for r, hold in enumerate(split):
         train = np.concatenate([split[i] for i in range(config.folds) if i != r])
-        u_tr, y_tr = u0[train], y0[train]
-        lam0 = penalty_level(sigma, p, train.size, config.lambda_c)
-        base = lasso_fit(LassoProblem([(u_tr, y_tr)], lam0))
-        if not base.converged:
-            raise ConvergenceError(f"detection target fit on fold {r} did not converge")
-        loss_target[r] = fold_loss(base.coef, u0, y0, hold)
-        for k, (u_k, y_k) in enumerate(source_parts):
-            lam_k = penalty_level(sigma, p, train.size + u_k.shape[0], config.lambda_c)
-            pooled = lasso_fit(LassoProblem([(u_tr, y_tr), (u_k, y_k)], lam_k))
-            if not pooled.converged:
-                raise ConvergenceError(
-                    f"detection pooled fit (fold {r}, source {k + 1}) did not converge"
-                )
-            loss_source[r, k] = fold_loss(pooled.coef, u0, y0, hold)
+        fold = (u0[train], y0[train])
+        base, _ = _lasso([fold], sigma, config, f"detection target fit on fold {r}")
+        loss_target[r] = fold_loss(base, u0, y0, hold)
+        for k in range(1, k_total + 1):
+            pooled, _ = _lasso(
+                [fold, splits[k].block], sigma, config,
+                f"detection pooled fit (fold {r}, source {k})",
+            )
+            loss_source[r, k - 1] = fold_loss(pooled, u0, y0, hold)
 
     target_loss = float(loss_target.mean())
     per_source = loss_source.mean(axis=0)

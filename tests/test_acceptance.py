@@ -360,7 +360,7 @@ def test_criterion_7_plain_lasso_mode():
         gen = rng.generator(k)
         x = gen.standard_normal((n, p))
         y = x @ beta + gen.standard_normal(n)
-        datasets.append(Dataset(x=x, y=y, role=k))
+        datasets.append(Dataset(x=x, y=y))
     target, s1, s2 = datasets
 
     fit = two_step_fit(target, [s1, s2], (1, 2), TransferConfig(mode="lasso"))

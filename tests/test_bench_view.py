@@ -1,17 +1,24 @@
-"""The benchmark tracer's view of the library: every name it wraps exists.
+"""The benchmark tracer's view of the library.
 
 perfbench/tracer.py instruments transfarm by rebinding public functions
-by name, so renaming or deleting one of them breaks the benchmark
-without failing any library test.  These checks load the tracer's
-target list and the package exports, and run nothing else.
+by name and reading attributes of their arguments and results, so
+renaming or deleting one of them breaks the benchmark without failing
+any library test.  These checks load the tracer's target list and the
+package exports, and run each attribute probe on a tiny real call.
 """
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import transfarm
+from transfarm.cli import ingest_dataset, write_dataset
+from transfarm.numerics import sym_eig
+from transfarm.solver import LassoProblem, lasso_fit, scaled_lasso
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +45,36 @@ def test_tracer_targets_resolve():
 
 def test_package_exports_resolve():
     assert [name for name in transfarm.__all__ if not hasattr(transfarm, name)] == []
+
+
+def test_tracer_probes_read_real_results(tmp_path):
+    tracer = load_tracer()
+    gen = np.random.default_rng(0)
+    z = gen.standard_normal((12, 4))
+    r = z[:, 0] + gen.standard_normal(12)
+
+    a = z.T @ z
+    eig = tracer._probe_sym_eig((a,), {}, sym_eig(a))
+    assert eig == {"input": tracer.fingerprint(a)}
+
+    fit = scaled_lasso(z, r)
+    sl = tracer._probe_scaled_lasso((z, r), {}, fit)
+    assert sl == {"alternations": fit.alternations, "input": tracer.fingerprint(z, r)}
+    assert sl["alternations"] >= 1
+
+    for offset in (None, np.full(4, 0.1)):
+        problem = LassoProblem([(z, r)], 0.1, offset=offset)
+        solution = lasso_fit(problem)
+        attrs = tracer._probe_lasso_fit((), {"problem": problem}, solution)
+        assert attrs == {
+            "sweeps": solution.iterations,
+            "p": 4,
+            "kkt": solution.kkt_violation,
+            "converged": True,
+            "offset": offset is not None,
+        }
+
+    path = str(tmp_path / "d.csv")
+    write_dataset(path, z, r)
+    result = ingest_dataset(path)
+    assert tracer._probe_ingest((path,), {}, result) == {"bytes": os.path.getsize(path)}

@@ -44,7 +44,7 @@ def make_files(tmp_path, seed=0, n=50, p=8, n_sources=2):
         path = str(tmp_path / (f"target.csv" if k == 0 else f"source{k}.csv"))
         write_dataset(path, x, y)
         paths.append(path)
-        datasets.append(Dataset(x=x, y=y, role=k))
+        datasets.append(Dataset(x=x, y=y))
     return paths, datasets
 
 

@@ -303,7 +303,7 @@ def test_full_inference_without_sources():
     beta = np.zeros(12)
     beta[:2] = 1.0
     y = x @ beta + gen.standard_normal(80)
-    target = Dataset(x=x, y=y, role=0)
+    target = Dataset(x=x, y=y)
     test, cis, fit, report = full_inference(
         target, [], TransferConfig(mode="lasso"), rng=RngStream(37), draws=100
     )
@@ -340,7 +340,7 @@ def test_reused_datasets_give_bitwise_equal_results_without_new_splits(mode, mon
         arrays.append((x, x[:, 0] + f.sum(axis=1) + gen.standard_normal(60)))
 
     def build():
-        return [Dataset(x=x.copy(), y=y.copy(), role=k) for k, (x, y) in enumerate(arrays)]
+        return [Dataset(x=x.copy(), y=y.copy()) for x, y in arrays]
 
     def run(make):
         target, *sources = make()

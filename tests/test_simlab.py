@@ -53,10 +53,10 @@ def test_generate_is_deterministic():
 def test_generate_shapes_and_truth_fields():
     cfg = tiny_config()
     target, sources, truth = generate(cfg, RngStream(1, 0, (0, 0)))
-    assert target.x.shape == (cfg.n0, cfg.p) and target.role == 0
+    assert target.x.shape == (cfg.n0, cfg.p)
     assert len(sources) == cfg.k_sources
-    for k, ds in enumerate(sources, start=1):
-        assert ds.x.shape == (cfg.nk, cfg.p) and ds.role == k
+    for ds in sources:
+        assert ds.x.shape == (cfg.nk, cfg.p)
     # sparse coefficient: first s entries at the signal level, rest zero
     assert np.array_equal(truth.beta[: cfg.s], np.full(cfg.s, cfg.signal))
     assert not truth.beta[cfg.s :].any()
@@ -369,3 +369,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="roster must name at least one"):
         tiny_config(roster=())
     assert set(ALL_ESTIMATORS) >= set(SimConfig().roster)
+
+
+def test_stock_gamma0_follows_rank():
+    # the library widens the stock factor effect as `simulate --sim-rank` does
+    assert SimConfig(rank=3).gamma0 == (0.5,) * 3
+    assert SimConfig(rank=1).gamma0 == (0.5,)
+    assert SimConfig().gamma0 == (0.5, 0.5)

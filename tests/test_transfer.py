@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import transfarm.factor
 from transfarm.factor import decompose, residualize
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.solver import LassoProblem, lasso_fit, penalty_level, scaled_lasso
@@ -21,7 +22,7 @@ from transfarm.transfer import (
 )
 
 
-def make_dataset(n, p, beta, seed, role=0, rank=2, gamma_scale=0.5):
+def make_dataset(n, p, beta, seed, rank=2, gamma_scale=0.5):
     """Factor-plus-sparse draws shared by most of the tests here."""
     rng = RngStream(seed)
     b = rng.generator(0).uniform(-1.0, 1.0, (p, rank))
@@ -30,7 +31,7 @@ def make_dataset(n, p, beta, seed, role=0, rank=2, gamma_scale=0.5):
     x = f @ b.T + u
     gamma = np.full(rank, gamma_scale)
     y = u @ beta + f @ gamma + rng.generator(3).standard_normal(n)
-    return Dataset(x=x, y=y, role=role)
+    return Dataset(x=x, y=y)
 
 
 def sparse_beta(p, s, value=0.5):
@@ -98,23 +99,10 @@ def test_empty_set_reduces_to_single_dataset_lasso():
     assert fit.source_set == ()
 
 
-def test_identical_sources_with_huge_correction_penalty():
-    beta = sparse_beta(30, 3)
-    target = make_dataset(100, 30, beta, seed=22)
-    clones = [
-        Dataset(x=target.x.copy(), y=target.y.copy(), role=1),
-        Dataset(x=target.x.copy(), y=target.y.copy(), role=2),
-    ]
-    config = TransferConfig(rank=2, lambda_correction=1e6)
-    fit = two_step_fit(target, clones, (1, 2), config)
-    assert np.array_equal(fit.correction_coef, np.zeros(30))
-    assert np.array_equal(fit.coef, fit.pooled_coef)
-
-
 def test_coef_identity_and_metadata():
     beta = sparse_beta(25, 3)
     target = make_dataset(80, 25, beta, seed=23)
-    source = make_dataset(80, 25, beta, seed=24, role=1)
+    source = make_dataset(80, 25, beta, seed=24)
     fit = two_step_fit(target, [source], (1,), TransferConfig(rank=1))
     assert np.array_equal(fit.coef, fit.pooled_coef + fit.correction_coef)
     assert fit.source_set == (1,)
@@ -125,8 +113,8 @@ def test_coef_identity_and_metadata():
 def test_source_order_invariance():
     beta = sparse_beta(20, 2)
     target = make_dataset(70, 20, beta, seed=25)
-    s1 = make_dataset(60, 20, beta, seed=26, role=1)
-    s2 = make_dataset(50, 20, beta, seed=27, role=2)
+    s1 = make_dataset(60, 20, beta, seed=26)
+    s2 = make_dataset(50, 20, beta, seed=27)
     config = TransferConfig(rank=1)
     forward = two_step_fit(target, [s1, s2], (1, 2), config)
     backward = two_step_fit(target, [s1, s2], (2, 1), config)
@@ -134,13 +122,47 @@ def test_source_order_invariance():
     assert forward.source_set == backward.source_set == (1, 2)
 
 
+def test_one_dataset_at_two_positions(monkeypatch):
+    # a source is its list position, so one object may fill two positions
+    beta = sparse_beta(20, 2)
+    config = TransferConfig(rank=2, seed=4)
+
+    def run(shared):
+        target = make_dataset(70, 20, beta, seed=48)
+        d = make_dataset(60, 20, beta, seed=49)
+        sources = [d, d] if shared else [d, Dataset(x=d.x.copy(), y=d.y.copy())]
+        fit = two_step_fit(target, sources, (1, 2), config)
+        return fit, detect_and_fit(target, sources, config)
+
+    real = transfarm.factor.sym_eig
+    eig_calls = []
+
+    def counted(a):
+        eig_calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(transfarm.factor, "sym_eig", counted)
+    fit, (dfit, report) = run(shared=True)
+    assert len(eig_calls) == 2  # the target's split and the shared source's
+    eig_calls.clear()
+    fit_c, (dfit_c, report_c) = run(shared=False)
+    assert len(eig_calls) == 3
+    for a, b in ((fit, fit_c), (dfit, dfit_c)):
+        assert np.array_equal(a.pooled_coef, b.pooled_coef)
+        assert np.array_equal(a.coef, b.coef)
+        assert a.source_set == b.source_set
+    assert np.array_equal(report.source_losses, report_c.source_losses)
+    assert report.target_loss == report_c.target_loss
+    assert report.selected == report_c.selected
+
+
 def test_lasso_mode_matches_scratch_pooled_lasso():
     # dual-route check: rebuild the rank-0 pipeline from raw blocks
     # without touching the transfer module
     beta = sparse_beta(30, 4)
     target = make_dataset(90, 30, beta, seed=28)
-    s1 = make_dataset(80, 30, beta, seed=29, role=1)
-    s2 = make_dataset(70, 30, beta, seed=30, role=2)
+    s1 = make_dataset(80, 30, beta, seed=29)
+    s2 = make_dataset(70, 30, beta, seed=30)
     fit = two_step_fit(target, [s1, s2], (1, 2), TransferConfig(mode="lasso"))
 
     sigma = scaled_lasso(target.x, target.y).sigma
@@ -159,25 +181,13 @@ def test_lasso_mode_matches_scratch_pooled_lasso():
         assert d.rank == 0
 
 
-def test_fixed_penalties_are_respected():
-    beta = sparse_beta(15, 2)
-    target = make_dataset(60, 15, beta, seed=31)
-    config = TransferConfig(rank=1, lambda_pooled=0.3, lambda_correction=0.4)
-    fit = two_step_fit(target, [], (), config)
-    assert fit.lambda_pooled == 0.3
-    assert fit.lambda_correction == 0.4
-
-
 def test_source_set_validation():
     beta = sparse_beta(10, 2)
     target = make_dataset(40, 10, beta, seed=32)
-    source = make_dataset(40, 10, beta, seed=33, role=1)
+    source = make_dataset(40, 10, beta, seed=33)
     with pytest.raises(ValueError):
         two_step_fit(target, [source], (2,), TransferConfig(rank=1))
-    bad_role = Dataset(x=source.x, y=source.y, role=5)
-    with pytest.raises(ValueError):
-        two_step_fit(target, [bad_role], (1,), TransferConfig(rank=1))
-    narrow = Dataset(x=np.ones((40, 9)), y=np.zeros(40), role=1)
+    narrow = Dataset(x=np.ones((40, 9)), y=np.zeros(40))
     with pytest.raises(ValueError):
         two_step_fit(target, [narrow], (1,), TransferConfig(rank=1))
 
@@ -213,8 +223,8 @@ def test_detection_report_recomputable():
     beta = sparse_beta(25, 3)
     target = make_dataset(90, 25, beta, seed=35)
     sources = [
-        make_dataset(80, 25, beta, seed=36, role=1),
-        make_dataset(80, 25, beta + 1.0, seed=37, role=2),
+        make_dataset(80, 25, beta, seed=36),
+        make_dataset(80, 25, beta + 1.0, seed=37),
     ]
     report = detect_sources(target, sources, TransferConfig(rank=1))
     recomputed = tuple(
@@ -228,7 +238,7 @@ def test_detection_report_recomputable():
 def test_detection_deterministic_per_seed():
     beta = sparse_beta(20, 2)
     target = make_dataset(66, 20, beta, seed=38)
-    source = make_dataset(60, 20, beta, seed=39, role=1)
+    source = make_dataset(60, 20, beta, seed=39)
     config = TransferConfig(rank=1, seed=11)
     a = detect_sources(target, [source], config)
     b = detect_sources(target, [source], config)
@@ -250,7 +260,7 @@ def test_clone_source_is_kept():
     for seed in range(50):
         beta = sparse_beta(40, 4)
         target = make_dataset(90, 40, beta, seed=1000 + 2 * seed)
-        clone = make_dataset(90, 40, beta, seed=1001 + 2 * seed, role=1)
+        clone = make_dataset(90, 40, beta, seed=1001 + 2 * seed)
         report = detect_sources(target, [clone], TransferConfig(rank=2, seed=seed))
         if report.selected == (1,):
             hits += 1
@@ -260,7 +270,7 @@ def test_clone_source_is_kept():
 def test_wild_source_is_dropped_under_zero_slack():
     beta = sparse_beta(20, 2)
     target = make_dataset(80, 20, beta, seed=41)
-    wild = make_dataset(80, 20, beta + 10.0, seed=42, role=1)
+    wild = make_dataset(80, 20, beta + 10.0, seed=42)
     config = TransferConfig(rank=1, threshold="eps0", eps0=0.0, seed=3)
     report = detect_sources(target, [wild], config)
     assert report.selected == ()
@@ -275,7 +285,7 @@ def test_wild_source_is_dropped_under_zero_slack():
 def test_all_excluded_equals_empty_set_run():
     beta = sparse_beta(20, 2)
     target = make_dataset(80, 20, beta, seed=43)
-    wild = make_dataset(80, 20, beta + 10.0, seed=44, role=1)
+    wild = make_dataset(80, 20, beta + 10.0, seed=44)
     config = TransferConfig(rank=1, threshold="eps0", eps0=0.0, seed=5)
     fit, report = detect_and_fit(target, [wild], config)
     assert report.selected == ()
@@ -288,8 +298,8 @@ def test_all_kept_equals_full_set_run():
     beta = sparse_beta(25, 3)
     target = make_dataset(90, 25, beta, seed=45)
     clones = [
-        make_dataset(85, 25, beta, seed=46, role=1),
-        make_dataset(85, 25, beta, seed=47, role=2),
+        make_dataset(85, 25, beta, seed=46),
+        make_dataset(85, 25, beta, seed=47),
     ]
     config = TransferConfig(rank=1, seed=6)
     fit, report = detect_and_fit(target, clones, config)
@@ -314,7 +324,7 @@ def transfer_problems(draw):
     for k in range(draw(st.integers(2, 4))):
         shift = draw(st.sampled_from([0.0, 0.3, 1.5]))
         n_k = draw(st.integers(24, 48))
-        sources.append(make_dataset(n_k, p, beta + shift, seed=seed + 1 + k, role=k + 1))
+        sources.append(make_dataset(n_k, p, beta + shift, seed=seed + 1 + k))
     eps0 = draw(st.sampled_from([None, 0.0, 0.5, 2.0]))
     config = TransferConfig(
         rank=draw(st.sampled_from([None, 1])),
@@ -332,7 +342,7 @@ def test_detect_and_fit_is_equivariant_to_response_scale(problem):
     target, sources, config = problem
     fit, report = detect_and_fit(target, sources, config)
     # a power of two rescales every float operation exactly
-    scaled = [Dataset(x=d.x, y=4.0 * d.y, role=d.role) for d in [target, *sources]]
+    scaled = [Dataset(x=d.x, y=4.0 * d.y) for d in [target, *sources]]
     fit4, report4 = detect_and_fit(scaled[0], scaled[1:], config)
     assert np.array_equal(fit4.coef, 4.0 * fit.coef)
     assert np.array_equal(fit4.pooled_coef, 4.0 * fit.pooled_coef)
@@ -349,11 +359,11 @@ def test_detect_and_fit_follows_a_permutation_of_the_sources(problem, random):
     fit, report = detect_and_fit(target, sources, config)
     order = list(range(len(sources)))
     random.shuffle(order)  # new source i + 1 is old source order[i] + 1
-    moved = [Dataset(x=sources[k].x, y=sources[k].y, role=i + 1) for i, k in enumerate(order)]
+    moved = [Dataset(x=sources[k].x, y=sources[k].y) for k in order]
     fit_m, report_m = detect_and_fit(target, moved, config)
     # each detection fit pools the target with one source, so losses move bitwise
     assert np.array_equal(report_m.source_losses, report.source_losses[order])
     assert report_m.target_loss == report.target_loss
     assert report_m.selected == tuple(i + 1 for i, k in enumerate(order) if k + 1 in report.selected)
-    # the pooled Gram sums its blocks in role order, so only the last bits move
+    # the pooled Gram sums its blocks in source order, so only the last bits move
     assert np.max(np.abs(fit_m.coef - fit.coef)) <= 1e-12 * np.max(np.abs(fit.coef))
