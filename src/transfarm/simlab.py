@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.factor import FactorDecomposition
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.transfer import (
     MODE_FARM,
@@ -117,16 +116,14 @@ class SimConfig:
 
 @dataclass
 class SimTruth:
-    """Ground truth for one replication, target stored at index 0."""
+    """Ground truth for one replication; source_coefs[k - 1] and
+    source_gammas[k - 1] belong to source k."""
 
     beta: np.ndarray
     gamma: np.ndarray
     informative: tuple[int, ...]
     source_coefs: list[np.ndarray]
     source_gammas: list[np.ndarray]
-    factors: list[np.ndarray] = field(repr=False, default_factory=list)
-    loadings: list[np.ndarray] = field(repr=False, default_factory=list)
-    idiosyncratic: list[np.ndarray] = field(repr=False, default_factory=list)
 
 
 @dataclass
@@ -245,41 +242,7 @@ def generate(
         x = factors @ loadings.T + idio
         y = idio @ coef + factors @ gam + noise
         datasets.append(Dataset(x=x, y=y))
-        truth.factors.append(factors)
-        truth.loadings.append(loadings)
-        truth.idiosyncratic.append(idio)
     return datasets[0], datasets[1:], truth
-
-
-@dataclass
-class RotationDiagnostic:
-    """Distance of an estimated factor block from the truth up to rotation."""
-
-    h_orthogonality: float
-    factor_error: float
-    rank_miss: bool
-
-
-def rotation_diagnostic(
-    decomp: FactorDecomposition,
-    true_factors: np.ndarray,
-    true_loadings: np.ndarray,
-) -> RotationDiagnostic:
-    """Compare estimated factors with truth through the implied rotation.
-
-    The rotation is h = v^(-1) fhat.T f b.T b / n with v the leading
-    scaled Gram eigenvalues.  A rank mismatch is reported, not raised.
-    """
-    r_true = true_factors.shape[1]
-    if decomp.rank != r_true:
-        return RotationDiagnostic(math.nan, math.nan, True)
-    n = decomp.n
-    v = decomp.gram_eigenvalues[: decomp.rank] / n
-    h = (decomp.factors.T @ true_factors) @ (true_loadings.T @ true_loadings) / n
-    h = h / v[:, None]
-    gram_gap = float(np.linalg.norm(h.T @ h - np.eye(r_true), 2))
-    factor_gap = float(np.max(np.abs(decomp.factors - true_factors @ h.T)))
-    return RotationDiagnostic(gram_gap, factor_gap, False)
 
 
 def _detection_seed(base_seed: int, rep: int) -> int:

@@ -6,8 +6,12 @@ All fits minimise
 
 over delta, where the (Z_k, r_k) blocks are stacked datasets with a
 common column count and N is the total row count.  Coordinate descent
-runs on the pooled Gram matrix, so block structure costs nothing beyond
-one pass to accumulate Z.T @ Z per block.
+runs on the pooled Gram matrix, so a block enters only through its Gram
+piece (Z.T Z, Z.T r, r.T r, rows).  A caller that solves several
+problems sharing a block forms its piece once with `gram_piece` and
+passes it in place of (Z, r); the pieces of a problem are summed in
+block order into a copy of the first, which gives the same bits as
+adding each block's products to zeros.
 """
 
 from __future__ import annotations
@@ -41,48 +45,83 @@ def penalty_level(sigma: float, p: int, n_effective: int, lambda_c: float = DEFA
     return lambda_c * sigma * math.sqrt(2.0 * math.log(p) / n_effective)
 
 
+@dataclass(frozen=True)
+class GramPiece:
+    """The Gram pieces of one (z, r) block: z.T z, z.T r, r.T r and the
+    row count.  Pieces are shared between problems, so none is written to."""
+
+    zz: np.ndarray
+    zr: np.ndarray
+    rr: float
+    rows: int
+
+    @property
+    def p(self) -> int:
+        return self.zr.size
+
+
+def gram_piece(z: np.ndarray, r: np.ndarray, name: str = "block") -> GramPiece:
+    """The checked Gram piece of one block; errors name it."""
+    z = check_matrix(z, f"{name} design")
+    r = check_vector(r, f"{name} response")
+    if z.shape[0] != r.size:
+        raise ValueError(f"{name}: design has {z.shape[0]} rows, response has {r.size}")
+    if z.shape[0] < 1:
+        raise ValueError(f"{name} is empty")
+    return GramPiece(z.T @ z, z.T @ r, float(r @ r), z.shape[0])
+
+
+def sum_pieces(pieces) -> GramPiece:
+    """The piece of the stacked blocks: a copy of the first piece plus
+    each later one in order.  pieces may be a generator, so a sum over
+    blocks formed one at a time holds only the sum and the current piece.
+    """
+    pieces = iter(pieces)
+    first = next(pieces)
+    zz, zr, rr, rows = first.zz.copy(), first.zr.copy(), first.rr, first.rows
+    for piece in pieces:
+        zz += piece.zz
+        zr += piece.zr
+        rr += piece.rr
+        rows += piece.rows
+    return GramPiece(zz, zr, rr, rows)
+
+
 @dataclass
 class LassoProblem:
-    """Stacked-block Lasso problem; offset shifts the fitted coefficient."""
+    """Stacked-block Lasso problem; offset shifts the fitted coefficient.
 
-    blocks: list[tuple[np.ndarray, np.ndarray]]
+    Each block is a (z, r) pair or its GramPiece; pairs are turned into
+    pieces here, so blocks holds pieces only.
+    """
+
+    blocks: list[GramPiece | tuple[np.ndarray, np.ndarray]]
     lam: float
     offset: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("at least one (z, r) block is required")
-        checked = []
-        p = None
-        for i, (z, r) in enumerate(self.blocks):
-            z = check_matrix(z, f"block {i} design")
-            r = check_vector(r, f"block {i} response")
-            if z.shape[0] != r.size:
-                raise ValueError(
-                    f"block {i}: design has {z.shape[0]} rows, response has {r.size}"
-                )
-            if z.shape[0] < 1:
-                raise ValueError(f"block {i} is empty")
-            if p is None:
-                p = z.shape[1]
-            elif z.shape[1] != p:
-                raise ValueError(
-                    f"block {i} has {z.shape[1]} columns, expected {p}"
-                )
-            checked.append((z, r))
-        self.blocks = checked
+        pieces = []
+        for i, block in enumerate(self.blocks):
+            if not isinstance(block, GramPiece):
+                block = gram_piece(*block, name=f"block {i}")
+            if pieces and block.p != pieces[0].p:
+                raise ValueError(f"block {i} has {block.p} columns, expected {pieces[0].p}")
+            pieces.append(block)
+        self.blocks = pieces
         if not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.offset is not None:
             self.offset = check_vector(self.offset, "offset")
-            if self.offset.size != p:
+            if self.offset.size != self.p:
                 raise ValueError(
-                    f"offset has length {self.offset.size}, expected {p}"
+                    f"offset has length {self.offset.size}, expected {self.p}"
                 )
 
     @property
     def p(self) -> int:
-        return self.blocks[0][0].shape[1]
+        return self.blocks[0].p
 
 
 @dataclass
@@ -242,18 +281,13 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     return delta, objective, sweeps, kkt, converged
 
 
-def _gram_pieces(blocks):
-    z0, r0 = blocks[0]
-    p = z0.shape[1]
-    n_total = sum(z.shape[0] for z, _ in blocks)
-    h = np.zeros((p, p))
-    q = np.zeros(p)
-    rss = 0.0
-    for z, r in blocks:
-        h += z.T @ z
-        q += z.T @ r
-        rss += float(r @ r)
-    return h / n_total, q / n_total, rss / n_total
+def _scaled(piece: GramPiece):
+    """(a, qn, r0n) of a piece: each Gram piece divided by its row count,
+    the piece's own arrays divided in place."""
+    a, qn = piece.zz, piece.zr
+    a /= piece.rows
+    qn /= piece.rows
+    return a, qn, piece.rr / piece.rows
 
 
 def lasso_fit(
@@ -278,7 +312,7 @@ def lasso_fit(
             raise ValueError(
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
-    a, qn, r0n = _gram_pieces(problem.blocks)
+    a, qn, r0n = _scaled(sum_pieces(problem.blocks))
     delta, objective, sweeps, kkt, converged = _fit_gram(
         a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter
     )
@@ -322,7 +356,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
         raise ValueError("z must have at least one row and one column")
     lambda0 = math.sqrt(2.0 * math.log(p) / n)
 
-    a, qn, r0n = _gram_pieces([(z, r)])
+    a, qn, r0n = _scaled(gram_piece(z, r))
     sigma = math.sqrt(r0n)
     if sigma == 0.0:
         raise ValueError("response has zero variance")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -20,9 +21,11 @@ from transfarm.solver import (
     DEFAULT_LAMBDA_C,
     DEFAULT_MAX_ITER,
     LassoProblem,
+    gram_piece,
     lasso_fit,
     penalty_level,
     scaled_lasso,
+    sum_pieces,
 )
 
 MODE_FARM = "farm"
@@ -164,7 +167,13 @@ class TransferFit:
 
 @dataclass
 class DetectionReport:
-    """Per-source cross-validated losses and the resulting selection."""
+    """Per-source cross-validated losses and the resulting selection.
+
+    fold_target_losses[r] and fold_source_losses[r, k - 1] are the
+    held-out losses on fold r that target_loss and source_losses average.
+    margins[k - 1] is the cutoff target_loss + threshold minus source k's
+    loss, so source k is selected exactly when its margin is nonnegative.
+    """
 
     source_losses: np.ndarray
     target_loss: float
@@ -173,6 +182,9 @@ class DetectionReport:
     folds: int
     seed: int
     sigma_hat: float
+    fold_target_losses: np.ndarray
+    fold_source_losses: np.ndarray
+    margins: np.ndarray
 
 
 def _splits(target: Dataset, sources: list[Dataset], roles, config: TransferConfig) -> dict:
@@ -191,12 +203,13 @@ def _splits(target: Dataset, sources: list[Dataset], roles, config: TransferConf
     return splits
 
 
-def _lasso(blocks: list, sigma: float, config: TransferConfig, what: str, offset=None):
-    """(coef, lam) of the Lasso on the stacked blocks at the pipeline's
-    penalty rule, with N the blocks' total row count."""
-    n = sum(z.shape[0] for z, _ in blocks)
-    lam = penalty_level(sigma, blocks[0][0].shape[1], n, config.lambda_c)
-    fit = lasso_fit(LassoProblem(blocks, lam, offset=offset))
+def _lasso(pieces: list, sigma: float, config: TransferConfig, what: str, offset=None,
+           warm_start=None):
+    """(coef, lam) of the Lasso on the stacked Gram pieces at the
+    pipeline's penalty rule, with N the pieces' total row count."""
+    n = sum(piece.rows for piece in pieces)
+    lam = penalty_level(sigma, pieces[0].p, n, config.lambda_c)
+    fit = lasso_fit(LassoProblem(pieces, lam, offset=offset), warm_start=warm_start)
     if not fit.converged:
         raise ConvergenceError(
             f"{what} did not converge in {DEFAULT_MAX_ITER} sweeps"
@@ -218,7 +231,9 @@ def two_step_fit(
     idiosyncratic blocks; the correction step re-fits the target residual
     around that coefficient with its own penalty.  An empty source_set
     collapses to the single-dataset estimator.  Results do not depend on
-    the order in which source_set is given.
+    the order in which source_set is given.  The target's Gram piece is
+    formed once for both steps; each source's piece is added to the
+    pooled sum as it is formed and then dropped.
     """
     config = config or TransferConfig()
     chosen = sorted(set(int(k) for k in source_set))
@@ -229,9 +244,15 @@ def two_step_fit(
 
     splits = _splits(target, sources, (0, *chosen), config)
     sigma = splits[0].sigma
-    blocks = [s.block for s in splits.values()]
-    pooled, lam_pooled = _lasso(blocks, sigma, config, "transferring step")
-    correction, lam_corr = _lasso(blocks[:1], sigma, config, "debiasing step", offset=pooled)
+    target_piece = gram_piece(*splits[0].block)
+    pooled_piece = sum_pieces(
+        chain([target_piece], (gram_piece(*splits[k].block) for k in chosen))
+    )
+    pooled, lam_pooled = _lasso([pooled_piece], sigma, config, "transferring step")
+    del pooled_piece
+    correction, lam_corr = _lasso(
+        [target_piece], sigma, config, "debiasing step", offset=pooled
+    )
     return TransferFit(
         pooled_coef=pooled,
         correction_coef=correction,
@@ -292,6 +313,18 @@ def detect_sources(
     remaining folds, and both are scored on the held-out fold.  Source k
     is selected when its averaged loss is at most the target-only loss
     plus the threshold slack.
+
+    The solves run source-major: the target fits of folds 0, 1, ...
+    first, then the pooled fits of source 1 over the folds, then source
+    2, and so on.  Each fold's training Gram piece is formed once and
+    each source's piece is formed when its turn comes and dropped after
+    its folds.  A fit on fold r starts from the same dataset's fit on
+    fold r - 1.  A fit that ends on the solver's exact finish returns the
+    KKT point of its support and signs whatever its start, so the start
+    changes how many sweeps find that point, not the point; a fit that
+    stops on the sweep rule instead can move within the solver tolerance.
+    Loop order decides which failure a ConvergenceError names first: a
+    target fold before any source, and source k before source k + 1.
     """
     config = config or TransferConfig()
     if target.n < 2 * config.folds:
@@ -307,29 +340,31 @@ def detect_sources(
     gen = RngStream(config.seed).generator(0)
     split = _fold_split(target.n, config.folds, gen)
     k_total = len(sources)
-    loss_target = np.zeros(config.folds)
-    loss_source = np.zeros((config.folds, k_total))
-    for r, hold in enumerate(split):
+    fold_pieces = []
+    for r in range(config.folds):
         train = np.concatenate([split[i] for i in range(config.folds) if i != r])
-        fold = (u0[train], y0[train])
-        base, _ = _lasso([fold], sigma, config, f"detection target fit on fold {r}")
-        loss_target[r] = fold_loss(base, u0, y0, hold)
-        for k in range(1, k_total + 1):
-            pooled, _ = _lasso(
-                [fold, splits[k].block], sigma, config,
-                f"detection pooled fit (fold {r}, source {k})",
+        fold_pieces.append(gram_piece(u0[train], y0[train]))
+    # column 0 holds the target-only fits, column k the pooled fits of source k
+    losses = np.zeros((config.folds, k_total + 1))
+    for k in range(k_total + 1):
+        extra = [gram_piece(*splits[k].block)] if k else []
+        coef = None
+        for r, hold in enumerate(split):
+            what = (
+                f"detection pooled fit (fold {r}, source {k})" if k
+                else f"detection target fit on fold {r}"
             )
-            loss_source[r, k - 1] = fold_loss(pooled, u0, y0, hold)
+            coef, _ = _lasso([fold_pieces[r], *extra], sigma, config, what, warm_start=coef)
+            losses[r, k] = fold_loss(coef, u0, y0, hold)
 
-    target_loss = float(loss_target.mean())
-    per_source = loss_source.mean(axis=0)
+    target_loss = float(losses[:, 0].mean())
+    per_source = losses[:, 1:].mean(axis=0)
     if config.threshold == THRESHOLD_TWICE_TARGET:
         slack = 2.0 * target_loss
     else:
         slack = config.eps0 * sigma * sigma
-    selected = tuple(
-        k + 1 for k in range(k_total) if per_source[k] <= target_loss + slack
-    )
+    cutoff = target_loss + slack
+    selected = tuple(k + 1 for k in range(k_total) if per_source[k] <= cutoff)
     return DetectionReport(
         source_losses=per_source,
         target_loss=target_loss,
@@ -338,6 +373,9 @@ def detect_sources(
         folds=config.folds,
         seed=config.seed,
         sigma_hat=sigma,
+        fold_target_losses=losses[:, 0].copy(),
+        fold_source_losses=losses[:, 1:].copy(),
+        margins=cutoff - per_source,
     )
 
 

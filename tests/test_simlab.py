@@ -8,8 +8,7 @@ import pytest
 import transfarm.factor
 import transfarm.simlab
 import transfarm.transfer
-from transfarm.factor import decompose
-from transfarm.numerics import RngStream, toeplitz_correlation
+from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.simlab import (
     ALL_ESTIMATORS,
     FARM_ESTIMATORS,
@@ -18,7 +17,6 @@ from transfarm.simlab import (
     generate,
     l1_error,
     l2_error,
-    rotation_diagnostic,
     run_experiment,
     _detection_seed,
     _run_replication,
@@ -32,6 +30,22 @@ TINY = dict(n0=40, nk=40, p=30, s=4, k_sources=2, a_size=1, rank=2, eta=2.0)
 def tiny_config(**kw):
     merged = {**TINY, **kw}
     return SimConfig(**merged)
+
+
+def drawn_parts(cfg, rng, k):
+    """(factors, loadings, idiosyncratic) that generate draws for dataset k
+    (0 the target) from rng, rebuilt from the same substreams."""
+    stream = rng.substream(0, k)
+    n = cfg.n0 if k == 0 else cfg.nk
+    cov = toeplitz_correlation(cfg.rho, cfg.p)
+    if k:
+        spike = cfg.cov_spike * stream.generator(3).standard_normal(cfg.p)
+        cov = cov + np.outer(spike, spike)
+    loadings = stream.generator(0).uniform(
+        -cfg.loading_width, cfg.loading_width, (cfg.p, cfg.rank)
+    )
+    factors = stream.generator(1).standard_normal((n, cfg.rank))
+    return factors, loadings, correlated_normal(stream.substream(2), n, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +76,16 @@ def test_generate_shapes_and_truth_fields():
     assert not truth.beta[cfg.s :].any()
     assert np.array_equal(truth.gamma, np.asarray(cfg.gamma0))
     assert len(truth.source_coefs) == cfg.k_sources
-    assert len(truth.factors) == cfg.k_sources + 1
+    assert len(truth.source_gammas) == cfg.k_sources
 
 
 def test_generate_reconstructs_datasets_from_truth():
     cfg = tiny_config()
-    target, sources, truth = generate(cfg, RngStream(5, 0, (0, 2)))
+    rng = RngStream(5, 0, (0, 2))
+    target, sources, _ = generate(cfg, rng)
     for k, ds in enumerate([target] + sources):
-        rebuilt = truth.factors[k] @ truth.loadings[k].T + truth.idiosyncratic[k]
-        assert np.array_equal(ds.x, rebuilt)
+        factors, loadings, idio = drawn_parts(cfg, rng, k)
+        assert np.array_equal(ds.x, factors @ loadings.T + idio)
 
 
 def test_contrast_norms_split_by_informativeness():
@@ -112,8 +127,10 @@ def test_target_idiosyncratic_covariance_is_toeplitz():
     cfg = SimConfig(
         n0=50_000, nk=10, p=20, s=3, k_sources=0, a_size=0, rank=2, rho=0.5
     )
-    _, _, truth = generate(cfg, RngStream(31, 0, (0, 0)))
-    u = truth.idiosyncratic[0]
+    rng = RngStream(31, 0, (0, 0))
+    target, _, _ = generate(cfg, rng)
+    factors, loadings, u = drawn_parts(cfg, rng, 0)
+    assert np.array_equal(target.x, factors @ loadings.T + u)
     emp = u.T @ u / u.shape[0]
     assert np.max(np.abs(emp - toeplitz_correlation(0.5, 20))) < 0.03
 
@@ -132,52 +149,6 @@ def test_error_metrics():
     perm = np.array([2, 0, 1])
     assert l1_error(a[perm], b[perm]) == pytest.approx(l1_error(a, b))
     assert l2_error(a[perm], b[perm]) == pytest.approx(l2_error(a, b))
-
-
-# ---------------------------------------------------------------------------
-# rotation diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_rotation_diagnostic_noiseless_is_exact_in_factor_space():
-    g = np.random.default_rng(5)
-    n, p, r = 100, 80, 2
-    f = g.standard_normal((n, r))
-    b = g.uniform(-1.0, 1.0, (p, r))
-    diag = rotation_diagnostic(decompose(f @ b.T, rank=r), f, b)
-    assert not diag.rank_miss
-    assert diag.factor_error < 1e-8
-    assert diag.h_orthogonality < 0.5
-
-
-def test_rotation_diagnostic_desk_scale_and_consistency():
-    def gaps(n, p, reps):
-        cfg = SimConfig(n0=n, nk=n, p=p, s=10, k_sources=0, a_size=0, rank=2, eta=5.0)
-        out = []
-        for rep in range(reps):
-            target, _, truth = generate(cfg, RngStream(7, 0, (0, rep)))
-            d = rotation_diagnostic(
-                decompose(target.x, rank=2), truth.factors[0], truth.loadings[0]
-            )
-            assert not d.rank_miss and np.isfinite(d.factor_error)
-            assert d.factor_error < 1.0
-            out.append(d.h_orthogonality)
-        return np.array(out)
-
-    desk = gaps(150, 200, 50)
-    assert desk.max() < 0.4
-    assert np.median(desk) < 0.25
-    wide = gaps(600, 400, 10)
-    assert wide.mean() < desk.mean()
-
-
-def test_rotation_diagnostic_reports_rank_miss():
-    g = np.random.default_rng(3)
-    f = g.standard_normal((60, 2))
-    b = g.standard_normal((40, 2))
-    diag = rotation_diagnostic(decompose(f @ b.T, rank=1), f, b)
-    assert diag.rank_miss
-    assert np.isnan(diag.h_orthogonality) and np.isnan(diag.factor_error)
 
 
 # ---------------------------------------------------------------------------

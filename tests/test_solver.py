@@ -14,12 +14,15 @@ from transfarm.numerics import ConvergenceError
 from transfarm.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    GramPiece,
     LassoProblem,
     _fit_gram,
+    gram_piece,
     lasso_fit,
     nodewise_precision,
     penalty_level,
     scaled_lasso,
+    sum_pieces,
 )
 
 
@@ -140,6 +143,67 @@ def test_problem_validation():
         LassoProblem([(z, np.ones(4))], lam=-0.5)
     with pytest.raises(ValueError):
         LassoProblem([(z, np.ones(4))], lam=0.1, offset=np.ones(3))
+
+
+def accumulated_into_zeros(blocks):
+    """Gram pieces summed into zero arrays, then divided by the row count."""
+    p = blocks[0][0].shape[1]
+    h, q, rss = np.zeros((p, p)), np.zeros(p), 0.0
+    for z, r in blocks:
+        h += z.T @ z
+        q += z.T @ r
+        rss += float(r @ r)
+    n = sum(z.shape[0] for z, _ in blocks)
+    return h / n, q / n, rss / n
+
+
+@pytest.mark.parametrize("count", [1, 2, 11])
+def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
+    gen = np.random.default_rng(40 + count)
+    p = 15
+    beta = np.zeros(p)
+    beta[:4] = 1.0
+    blocks = []
+    for _ in range(count):
+        z = gen.standard_normal((int(gen.integers(5, 20)), p))
+        blocks.append((z, z @ beta + gen.standard_normal(z.shape[0])))
+    pieces = [gram_piece(z, r) for z, r in blocks]
+    kept = [(piece.zz.copy(), piece.zr.copy()) for piece in pieces]
+    a, qn, r0n = accumulated_into_zeros(blocks)
+    for offset in (None, np.linspace(-0.2, 0.2, p)):
+        coef, objective, _, kkt, _ = _fit_gram(
+            a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER
+        )
+        for given_blocks in (blocks, pieces, [sum_pieces(pieces)]):
+            sol = lasso_fit(LassoProblem(given_blocks, 0.05, offset=offset))
+            assert sol.coef.tobytes() == coef.tobytes()
+            assert sol.objective == objective
+            assert sol.kkt_violation == kkt
+    # a problem reads its pieces without writing to them
+    for piece, (zz, zr) in zip(pieces, kept):
+        assert piece.zz.tobytes() == zz.tobytes() and piece.zr.tobytes() == zr.tobytes()
+
+
+def test_bad_block_is_named():
+    z, r = np.ones((4, 2)), np.ones(4)
+    nan_z = z.copy()
+    nan_z[1, 1] = np.nan
+    nan_r = r.copy()
+    nan_r[2] = np.nan
+    cases = [
+        ((nan_z, r), "block 1 design contains non-finite entries"),
+        ((z, nan_r), "block 1 response contains non-finite entries"),
+        ((z, np.ones(3)), "block 1: design has 4 rows, response has 3"),
+        ((np.ones((4, 3)), r), "block 1 has 3 columns, expected 2"),
+        (gram_piece(np.ones((4, 3)), r), "block 1 has 3 columns, expected 2"),
+    ]
+    for first in ((z, r), gram_piece(z, r)):
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LassoProblem([first, bad], lam=0.1)
+    with pytest.raises(ValueError, match="block 0 is empty"):
+        LassoProblem([(np.ones((0, 2)), np.ones(0))], lam=0.1)
+    assert isinstance(LassoProblem([(z, r)], lam=0.1).blocks[0], GramPiece)
 
 
 def test_penalty_level_formula():

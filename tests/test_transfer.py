@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import transfarm.factor
+import transfarm.transfer
 from transfarm.factor import decompose, residualize
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.solver import LassoProblem, lasso_fit, penalty_level, scaled_lasso
@@ -15,6 +16,7 @@ from transfarm.transfer import (
     MODE_LASSO,
     Dataset,
     TransferConfig,
+    _fold_split,
     detect_and_fit,
     detect_sources,
     fold_loss,
@@ -245,6 +247,78 @@ def test_detection_deterministic_per_seed():
     assert np.array_equal(a.source_losses, b.source_losses)
     assert a.target_loss == b.target_loss
     assert a.selected == b.selected
+
+
+def fold_major_detection(target, sources, config):
+    """Detection as a fold-major loop of cold-start solves on raw blocks:
+    (fold target losses, fold source losses, source losses, target loss,
+    selected)."""
+    splits = [d.split(config) for d in [target, *sources]]
+    u0, y0 = splits[0].block
+    sigma = splits[0].sigma
+    split = _fold_split(target.n, config.folds, RngStream(config.seed).generator(0))
+    loss_target = np.zeros(config.folds)
+    loss_source = np.zeros((config.folds, len(sources)))
+    for r, hold in enumerate(split):
+        train = np.concatenate([split[i] for i in range(config.folds) if i != r])
+        fold = (u0[train], y0[train])
+        for k, s in enumerate(splits):
+            blocks = [fold, s.block] if k else [fold]
+            n = sum(z.shape[0] for z, _ in blocks)
+            lam = penalty_level(sigma, target.p, n, config.lambda_c)
+            loss = fold_loss(lasso_fit(LassoProblem(blocks, lam)).coef, u0, y0, hold)
+            if k:
+                loss_source[r, k - 1] = loss
+            else:
+                loss_target[r] = loss
+    target_loss = float(loss_target.mean())
+    per_source = loss_source.mean(axis=0)
+    slack = 2.0 * target_loss if config.threshold == "2L0" else config.eps0 * sigma**2
+    selected = tuple(
+        k + 1 for k in range(len(sources)) if per_source[k] <= target_loss + slack
+    )
+    return loss_target, loss_source, per_source, target_loss, selected
+
+
+@pytest.mark.parametrize("mode", [MODE_FARM, MODE_LASSO])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
+    # source-major order with warm-started folds and shared Gram pieces
+    # must reach the same losses, bit for bit, with one solve per fit
+    p = 30
+    beta = sparse_beta(p, 3)
+    target = make_dataset(72, p, beta, seed=500 + 10 * seed)
+    sources = [
+        make_dataset(60 + 5 * k, p, beta + shift, seed=501 + 10 * seed + k)
+        for k, shift in enumerate([0.0, 0.2, 1.0, 0.0])
+    ]
+    config = TransferConfig(mode=mode, threshold="eps0" if seed == 2 else "2L0",
+                            eps0=1.0, seed=seed)
+    real = transfarm.transfer.lasso_fit
+    calls = []
+
+    def counted(problem, **kw):
+        calls.append((len(problem.blocks), kw.get("warm_start") is None))
+        return real(problem, **kw)
+
+    monkeypatch.setattr(transfarm.transfer, "lasso_fit", counted)
+    report = detect_sources(target, sources, config)
+    folds, k_total = config.folds, len(sources)
+    # target folds first, then each source's folds, each run from a cold start
+    assert calls == [(1, r == 0) for r in range(folds)] + [
+        (2, r == 0) for _ in range(k_total) for r in range(folds)
+    ]
+
+    loss_target, loss_source, per_source, target_loss, selected = fold_major_detection(
+        target, sources, config
+    )
+    assert np.array_equal(report.fold_target_losses, loss_target)
+    assert np.array_equal(report.fold_source_losses, loss_source)
+    assert np.array_equal(report.source_losses, per_source)
+    assert report.target_loss == target_loss
+    assert report.selected == selected
+    assert np.array_equal(report.margins, target_loss + report.threshold - per_source)
+    assert report.selected == tuple(k + 1 for k in range(k_total) if report.margins[k] >= 0)
 
 
 def test_detection_needs_enough_rows():
