@@ -149,21 +149,85 @@ def _support_point(a, base, lam, support, sign):
     """Solve the lasso KKT equations on a fixed support and sign pattern.
 
     Returns x with a[S, S] @ x = base[S] - lam * sign, where S = support,
-    or None when a[S, S] is singular or sign(x) leaves the pattern.
-    a[S, S] counts as singular when a Cholesky pivot falls to
-    SUPPORT_PIVOT_FLOOR of its diagonal entry or below: that column nearly
-    repeats earlier ones (a duplicate column, or more columns than rows),
-    and a solve would return rounding error blown up along the null space.
+    or None when a[S, S] is singular; whether sign(x) keeps the pattern
+    is for the caller to check.  a[S, S] counts as singular when a
+    Cholesky pivot falls to SUPPORT_PIVOT_FLOOR of its diagonal entry or
+    below: that column nearly repeats earlier ones (a duplicate column,
+    or more columns than rows), and a solve would return rounding error
+    blown up along the null space.
     """
     a_ss = a[np.ix_(support, support)]
     try:
         pivots = np.diagonal(np.linalg.cholesky(a_ss)) ** 2
         if np.any(pivots <= SUPPORT_PIVOT_FLOOR * np.diagonal(a_ss)):
             return None
-        x = np.linalg.solve(a_ss, base[support] - lam * sign)
+        return np.linalg.solve(a_ss, base[support] - lam * sign)
     except np.linalg.LinAlgError:
         return None
-    return x if np.array_equal(np.sign(x), sign) else None
+
+
+def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
+    """Primal active-set steps (Osborne, Presnell and Turlach 2000) from
+    a swept iterate to the support point that solves the problem.
+
+    The pattern starts as sign(start).  Each step solves the KKT
+    equations on the pattern's support S with `_support_point`:
+    - drop: when the solution leaves the pattern, the current point
+      (start, at first) moves toward it until the first coordinate
+      reaches zero, and that coordinate leaves S;
+    - add: when the signs hold but the KKT violation is above cap, every
+      coordinate of positive variance off S whose |gradient| exceeds lam
+      by more than cap enters S with the sign of its gradient, and the
+      current point becomes the solution with those coordinates at zero;
+    - accept: when the signs hold and the KKT violation is at most cap,
+      (delta, b, v, kkt) at that point is returned.
+    None is returned, so the sweeps go on, on a singular support, an
+    empty S, a step outside [0, 1], a drop of a coordinate that the last
+    add brought in, or after p steps.
+    """
+    p = qn.size
+    cur = start.copy()
+    pattern = np.sign(start)
+    fresh = np.zeros(p, dtype=bool)  # the coordinates of the last add
+    for _ in range(p):
+        support = np.flatnonzero(pattern)
+        if not support.size:
+            return None
+        sign = pattern[support]
+        x = _support_point(a, base, lam, support, sign)
+        if x is None:
+            return None
+        off = np.flatnonzero(np.sign(x) != sign)
+        if off.size:
+            c = cur[support]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                reach = c[off] / (c[off] - x[off])
+            first = int(reach.argmin())
+            t = reach[first]
+            j = support[off[first]]
+            if not 0.0 <= t <= 1.0 or fresh[j]:
+                return None
+            cur[support] = c + t * (x - c)
+            cur[j] = 0.0
+            pattern[j] = 0.0
+            continue
+        exact = np.zeros(p)
+        exact[support] = x
+        exact_b = exact if offset is None else offset + exact
+        exact_v = a @ exact_b
+        g = qn - exact_v
+        kkt = float(_kkt_violation(g, exact, lam))
+        if kkt <= cap:
+            return exact, exact_b, exact_v, kkt
+        # g now holds each coordinate's violation, |g_j| - lam off S
+        new = np.flatnonzero((g > cap) & (pattern == 0.0) & live)
+        if not new.size:
+            return None
+        pattern[new] = np.sign(qn[new] - exact_v[new])
+        fresh[:] = False
+        fresh[new] = True
+        cur = exact
+    return None
 
 
 def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
@@ -185,14 +249,22 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     so the sweeps are the same bit for bit.
 
     A sweep that leaves the sign pattern of delta unchanged, on a nonempty
-    support S, is followed by the exact finish: delta_S solves
+    support S, is followed by the exact finish, a primal active-set loop
+    (Osborne, Presnell and Turlach 2000, IMA J. Numer. Anal.) run by
+    `_active_set_finish`.  Each step solves
     a[S, S] delta_S = (qn - a @ offset)[S] - lam * sign_S with delta zero
-    off S (the sign-consistent active-set step of homotopy and LARS).
-    That point is returned as converged when it keeps the sign pattern
-    and its KKT violation is at most tol * RMS.  Otherwise the swept
-    iterate stands, and the pattern is not tried again until a sweep
-    changes it.  Without a finish, a sweep passes when its largest
-    coefficient move and its KKT violation are both at most tol * RMS.
+    off S (the sign-consistent step of homotopy and LARS).  A solution
+    that leaves the pattern drops the first coordinate that a move toward
+    it brings to zero; one that keeps the pattern but fails the KKT test
+    adds every violator off S.  The first point that keeps its pattern
+    with a KKT violation of at most tol * RMS is returned as converged,
+    so the result depends on its support and signs only, not on the
+    sweeps that found them.  When a step cannot be taken (a singular or
+    empty support, a step outside [0, 1], a coordinate dropped right
+    after it was added, or p steps) the swept iterate stands, and the
+    pattern is not tried again until a sweep changes it.  Without a
+    finish, a sweep passes when its largest coefficient move and its KKT
+    violation are both at most tol * RMS.
     """
     p = qn.size
     lam = float(lam)
@@ -207,7 +279,8 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     qn_l = qn.tolist()
     # a zero coordinate leaves zero only when |qn[j] - v[j]| > bound[j];
     # the infinite bound keeps zero-variance coordinates out of the test
-    bound = np.where(diag > 0.0, lam, math.inf)
+    live = diag > 0.0
+    bound = np.where(live, lam, math.inf)
     v = a @ b
     base = qn if offset is None else qn - a @ offset
     tried = False  # the current sign pattern has failed its exact finish
@@ -260,17 +333,11 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
             tried = False
         elif nonzero.size and not tried:
             tried = True
-            x = _support_point(a, base, lam, nonzero, sign[nonzero])
-            if x is not None:
-                exact = np.zeros(p)
-                exact[nonzero] = x
-                exact_b = exact if offset is None else offset + exact
-                exact_v = a @ exact_b
-                exact_kkt = float(_kkt_violation(qn - exact_v, exact, lam))
-                if exact_kkt <= cap:
-                    delta, b, v, kkt = exact, exact_b, exact_v, exact_kkt
-                    converged = True
-                    break
+            finish = _active_set_finish(a, qn, base, lam, offset, live, delta, cap)
+            if finish is not None:
+                delta, b, v, kkt = finish
+                converged = True
+                break
         v = a @ b  # fresh product keeps accumulated rounding out of the tests below
         kkt = float(_kkt_violation(qn - v, delta, lam))
         if max_change <= cap and kkt <= cap:
@@ -298,11 +365,15 @@ def lasso_fit(
 ) -> LassoSolution:
     """Coordinate-descent Lasso over stacked blocks.
 
-    After a sweep that keeps the sign pattern, the KKT equations are
-    solved on the support; that exact point is returned when it keeps
-    the signs and its KKT violation is at most tol times the response
-    RMS.  Otherwise the solve converges when the largest coefficient
-    move in a sweep and the KKT violation both fall below that bound.
+    After a sweep that keeps the sign pattern, primal active-set steps
+    (Osborne, Presnell and Turlach 2000) solve the KKT equations on the
+    support, drop a coordinate whose sign the solve flips and add the
+    KKT violators off the support, until the solution keeps its signs
+    and its KKT violation is at most tol times the response RMS; that
+    exact point is returned.  When a step cannot be taken (on a singular
+    support, for one) the sweeps go on, and the solve converges when the
+    largest coefficient move in a sweep and the KKT violation both fall
+    below that bound.
     Hitting max_iter returns the last iterate flagged converged=False
     rather than raising.
     """
@@ -418,18 +489,17 @@ def nodewise_precision(
     pieces taken from G = u.T u / n (van de Geer, Buhlmann, Ritov and
     Dezeure 2014).  All p problems share G, so one coordinate-descent
     loop solves them together: the visit to coordinate k updates every
-    live problem j != k at once.  Each problem follows the iterate path
-    of a cold-start `_fit_gram` solve: the same coordinate order, the
-    same skip of zero-variance coordinates, a fresh G @ gamma after every
-    sweep, and the same stop rule.  A problem whose sign pattern on its
-    nonempty support S survives a sweep gets the exact finish
+    live problem j != k at once, in the coordinate order of `_fit_gram`,
+    skipping zero-variance coordinates, with a fresh G @ gamma after
+    every sweep.  A problem whose sign pattern on its nonempty support S
+    survives a sweep gets the one-shot exact finish
     G[S, S] gamma_S = G[j, S] - lambda_j * sign_S, accepted when it keeps
     the pattern and its KKT violation is at most tol * sqrt(G[j, j]);
-    a rejected pattern is not tried again until a sweep changes it.
-    Otherwise the problem passes when its largest coefficient move and
-    its KKT violation are both at most that cap.  A problem that passes is
-    frozen, so it stops on the same sweep, at the same point, as a solve
-    of its own.  Failures are reported for the lowest failing row:
+    it takes none of the active-set steps of `_fit_gram`, and a rejected
+    pattern is not tried again until a sweep changes it.  Otherwise the
+    problem passes when its largest coefficient move and its KKT
+    violation are both at most that cap.  A problem that passes is
+    frozen.  Failures are reported for the lowest failing row:
     ConvergenceError when it used up max_iter sweeps, ValueError when its
     residual variance is degenerate.
     """
@@ -505,8 +575,9 @@ def nodewise_precision(
         for c in finish.tolist():
             j = live[c]
             support = np.flatnonzero(gam[c])
-            x = _support_point(gram, gram[j], hi[c], support, np.sign(gam[c, support]))
-            if x is None:
+            sign = np.sign(gam[c, support])
+            x = _support_point(gram, gram[j], hi[c], support, sign)
+            if x is None or not np.array_equal(np.sign(x), sign):
                 continue
             row = np.zeros(p)
             row[support] = x

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
-from transfarm.numerics import ConvergenceError
+from transfarm import solver
+from transfarm.numerics import ConvergenceError, RngStream
+from transfarm.simlab import SimConfig, generate
 from transfarm.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     GramPiece,
     LassoProblem,
     _fit_gram,
+    _support_point,
     gram_piece,
     lasso_fit,
     nodewise_precision,
@@ -352,6 +355,37 @@ def rounding_trap():
     return a, qn, 2.0**60, lam, offset, start
 
 
+def tie_problem():
+    """A solution with |g_2| = lam exactly: coordinate 2 sits on the
+    boundary of the support {0, 1} of [1.5, -0.8, 0, 0, 0]."""
+    gen = np.random.default_rng(22)
+    z = gen.standard_normal((50, 5))
+    a = z.T @ z / 50
+    lam = 0.3
+    qn = a @ np.array([1.5, -0.8, 0.0, 0.0, 0.0]) + np.array([lam, -lam, lam, 0.1, -0.2])
+    return a, qn, 4.0, lam, None, None
+
+
+def correlated_problem(seed, beta, start, same=None, zero=None):
+    """A lasso at lam = 0.1 on six columns that share one factor, warm
+    started at start.  same = (j, k) copies column k into column j and
+    zero = j zeroes column j, before the response is drawn."""
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((30, 6)) + 0.8 * gen.standard_normal((30, 1))
+    if same is not None:
+        z[:, same[0]] = z[:, same[1]]
+    if zero is not None:
+        z[:, zero] = 0.0
+    r = z @ np.array(beta) + 0.5 * gen.standard_normal(30)
+    return z.T @ z / 30, z.T @ r / 30, float(r @ r) / 30, 0.1, None, np.array(start)
+
+
+def drop_problem():
+    """The first sweep keeps the warm start's signs, but the solution on
+    its support {0, 1, 3, 5} turns coordinate 5 negative."""
+    return correlated_problem(7, [1.0, -1.0, 0.0, 0.8, 0.0, 0.0], [1.0, -0.9, 0.0, 0.7, 0.0, 0.3])
+
+
 def exact_objective(a, qn, r0n, lam, offset, delta):
     """The objective at delta in exact rational arithmetic.
 
@@ -394,6 +428,8 @@ def clear_of_ties(a, qn, lam, offset, delta, cap):
 @settings(max_examples=60, deadline=None)
 @given(gram_problems())
 @example(rounding_trap())
+@example(tie_problem())
+@example(drop_problem())
 def test_core_finishes_exactly_on_the_one_at_a_time_solution(problem):
     a, qn, r0n, lam, offset, start = problem
     rms = math.sqrt(r0n) if r0n > 0 else 0.0
@@ -430,6 +466,28 @@ def kkt_gap(g, x, lam):
 def gram_of(z, r):
     n = z.shape[0]
     return z.T @ z / n, z.T @ r / n, float(r @ r) / n
+
+
+def ends_on_its_support_point(a, qn, r0n, lam, start):
+    """_fit_gram's solution, checked to be the support point of its own
+    support and signs with a KKT gap at most cap, reached in fewer sweeps
+    than one_at_a_time; returned with its sweeps and one_at_a_time's
+    result."""
+    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    want = one_at_a_time(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    support = np.flatnonzero(delta)
+    assert converged and kkt <= DEFAULT_TOL * math.sqrt(r0n)
+    assert delta.tobytes() == embedded(a, qn, lam, support, np.sign(delta[support])).tobytes()
+    assert sweeps < want[2]
+    return delta, sweeps, want
+
+
+def embedded(a, base, lam, support, sign):
+    """The support point of (support, sign), zero off the support."""
+    support = np.asarray(support)
+    x = np.zeros(base.size)
+    x[support] = _support_point(a, base, lam, support, np.asarray(sign, dtype=float))
+    return x
 
 
 def test_finish_on_a_singular_support_keeps_sweeping():
@@ -485,22 +543,79 @@ def test_finish_skips_zero_variance_columns():
 
 
 def test_finish_with_a_tie_at_the_penalty():
-    # delta_star solves the problem with |g_2| = lam exactly, so coordinate
-    # 2 sits on the boundary of the support.  The sweeps carry it in at a
-    # small positive value that decays towards zero; the finish on that
-    # support puts it at zero up to rounding, off its sign, and is
-    # rejected, so the sweeps converge at tol as one_at_a_time does.
-    gen = np.random.default_rng(22)
-    z = gen.standard_normal((50, 5))
-    a = z.T @ z / 50
-    lam = 0.3
-    delta_star = np.array([1.5, -0.8, 0.0, 0.0, 0.0])
-    qn = a @ delta_star + np.array([lam, -lam, lam, 0.1, -0.2])
-    got = _fit_gram(a, qn, 4.0, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    want = one_at_a_time(a, qn, 4.0, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    assert got[4] and got[3] <= DEFAULT_TOL * 2.0
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-    assert_allclose(got[0], delta_star, rtol=0.0, atol=1e-8)
+    # The sweeps carry coordinate 2 in at a small positive value that
+    # decays towards zero; the solve on that support puts it at zero up
+    # to rounding, off its sign, so the drop step takes it out and the
+    # solve ends on the support point of {0, 1} where one_at_a_time stops
+    # at tol with coordinate 2 still nonzero.
+    a, qn, r0n, lam, _, _ = tie_problem()
+    cap = DEFAULT_TOL * 2.0
+    delta, _, want = ends_on_its_support_point(a, qn, r0n, lam, None)
+    assert delta[2] == 0.0
+    assert delta.tobytes() == embedded(a, qn, lam, [0, 1], [1.0, -1.0]).tobytes()
+    assert exact_objective(a, qn, r0n, lam, None, delta) <= (
+        exact_objective(a, qn, r0n, lam, None, want[0]) + Fraction(cap)
+    )
+    assert_allclose(delta, [1.5, -0.8, 0.0, 0.0, 0.0], rtol=0.0, atol=1e-8)
+
+
+@pytest.fixture
+def support_solves(monkeypatch):
+    """Each support the core solves on, with whether it was singular."""
+    calls = []
+
+    def spy(a, base, lam, support, sign):
+        x = _support_point(a, base, lam, support, sign)
+        calls.append((support.tolist(), x is None))
+        return x
+
+    monkeypatch.setattr(solver, "_support_point", spy)
+    return calls
+
+
+def test_active_set_drops_a_coordinate_that_must_leave(support_solves):
+    a, qn, r0n, lam, _, start = drop_problem()
+    delta, sweeps, _ = ends_on_its_support_point(a, qn, r0n, lam, start)
+    # drop 5, then add 2: all within the finish after the first sweep
+    assert sweeps == 1
+    assert support_solves == [([0, 1, 3, 5], False), ([0, 1, 3], False), ([0, 1, 2, 3], False)]
+    assert delta[5] == 0.0
+
+
+def test_active_set_adds_a_missing_coordinate(support_solves):
+    # the first sweep leaves coordinate 2 at zero, but the solution on
+    # {0, 1, 3} pushes its gradient past lam
+    a, qn, r0n, lam, _, start = correlated_problem(
+        355, [1.0, -1.0, 0.0, 0.8, 0.0, 0.0], [0.9, -0.9, 0.0, 0.8, 0.0, 0.0]
+    )
+    delta, sweeps, _ = ends_on_its_support_point(a, qn, r0n, lam, start)
+    assert sweeps == 1
+    assert support_solves == [([0, 1, 3], False), ([0, 1, 2, 3], False)]
+    assert delta[2] != 0.0
+
+
+def test_active_set_falls_back_when_a_duplicate_column_enters(support_solves):
+    # columns 0 and 1 are equal, so they violate together and enter
+    # together; their support is singular and the sweeps go on until
+    # they hold only one of the two
+    a, qn, r0n, lam, _, start = correlated_problem(
+        15538, [1.0, 0.0, -1.0, 0.8, 0.5, 0.0], [0.0, 0.0, -0.77, 0.1, 0.3, 1.69], same=(1, 0)
+    )
+    delta, _, _ = ends_on_its_support_point(a, qn, r0n, lam, start)
+    assert support_solves[:2] == [([2, 3, 4, 5], False), ([0, 1, 2, 3, 4, 5], True)]
+    assert delta[1] == 0.0 and delta[0] != 0.0
+
+
+def test_active_set_never_adds_a_zero_variance_column(support_solves):
+    a, qn, r0n, lam, _, start = correlated_problem(
+        13, [1.0, -1.0, 0.0, 0.8, 0.0, 0.0], [1.0, 0.0, 0.0, 0.7, 0.0, 0.0], zero=2
+    )
+    delta, sweeps, _ = ends_on_its_support_point(a, qn, r0n, lam, start)
+    # the finish after the second sweep adds column 4 to {0, 1, 3}
+    assert sweeps == 2
+    assert support_solves == [([0, 1, 3], False), ([0, 1, 3, 4], False)]
+    assert all(2 not in support for support, _ in support_solves)
+    assert delta[2] == 0.0
 
 
 def test_desk_size_solves_end_on_the_exact_finish():
@@ -522,6 +637,23 @@ def test_desk_size_solves_end_on_the_exact_finish():
         gamma = -est.theta[j, others] * est.tau_sq[j]
         g = gram[j, others] - gram[np.ix_(others, others)] @ gamma
         assert kkt_gap(g, gamma, est.lambdas[j]) <= 1e-12 * math.sqrt(gram[j, j])
+
+
+def test_desk_lasso_mode_solve_ends_on_its_support_point_in_few_sweeps():
+    # a Lasso-mode target fit at the desk design, on the raw x whose
+    # columns share two factors
+    config = SimConfig(n0=150, nk=150, p=200, s=10, k_sources=6, a_size=2, rank=2, eta=5.0, replications=1)
+    target, _, _ = generate(config, RngStream(0))
+    lam = penalty_level(1.0, 200, 150)
+    sol = lasso_fit(LassoProblem([(target.x, target.y)], lam))
+    a, qn, r0n = gram_of(target.x, target.y)
+    want = one_at_a_time(a, qn, r0n, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    support = np.flatnonzero(want[0])
+    assert sol.converged and want[4]
+    assert sol.coef.tobytes() == embedded(a, qn, lam, support, np.sign(want[0][support])).tobytes()
+    # a finish that only sweeps on after a rejected support took 32 sweeps
+    # here, and one_at_a_time takes more
+    assert sol.iterations <= 16 and want[2] > 32
 
 
 # ----------------------------------------------------------------------
