@@ -158,8 +158,12 @@ def _write_csv(path: str, header: list[str], rows):
 def write_dataset(path: str, x: np.ndarray, y: np.ndarray, response: str = "y",
                   feature_names: list[str] | None = None):
     """Emit a dataset as a header CSV that ingest_dataset reads back."""
+    if y.size != x.shape[0]:
+        raise ValueError(f"x has {x.shape[0]} rows but y has {y.size}")
     if feature_names is None:
         feature_names = [f"x{j + 1}" for j in range(x.shape[1])]
+    if len(feature_names) != x.shape[1]:
+        raise ValueError(f"{len(feature_names)} feature names for {x.shape[1]} columns")
     # '%.17g' % v gives the bytes _fmt gives a float: one formatter serves both
     line = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
     with open(path, "w", newline="") as fh:

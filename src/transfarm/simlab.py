@@ -307,11 +307,12 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
     """Fit the roster over independent replications.
 
     Replications are pure functions of (config, replication index), so
-    results are identical for any thread count; rows come back sorted by
-    replication then roster order.  At most one worker process runs per
-    replication, and a single worker means no pool at all.  More than
-    FAILURE_BUDGET of estimator runs failing aborts with the recorded
-    messages.
+    results are identical for any `threads` at a fixed BLAS thread count
+    (a different BLAS thread count can move the last bits); rows come
+    back sorted by replication then roster order.  At most one worker
+    process runs per replication, and a single worker means no pool at
+    all.  More than FAILURE_BUDGET of estimator runs failing aborts with
+    the recorded messages.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")

@@ -176,14 +176,16 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
       (start, at first) moves toward it until the first coordinate
       reaches zero, and that coordinate leaves S;
     - add: when the signs hold but the KKT violation is above cap, every
-      coordinate of positive variance off S whose |gradient| exceeds lam
-      by more than cap enters S with the sign of its gradient, and the
-      current point becomes the solution with those coordinates at zero;
+      live coordinate off S whose |gradient| exceeds lam by more than cap
+      enters S with the sign of its gradient, and the current point
+      becomes the solution with those coordinates at zero;
     - accept: when the signs hold and the KKT violation is at most cap,
       (delta, b, v, kkt) at that point is returned.
     None is returned, so the sweeps go on, on a singular support, an
     empty S, a step outside [0, 1], a drop of a coordinate that the last
-    add brought in, or after p steps.
+    add brought in, or after p steps.  A coordinate outside live (zero
+    variance, or a nodewise problem's own column) is not a variable: its
+    gradient is zeroed, so it is neither added nor counted in the KKT value.
     """
     p = qn.size
     cur = start.copy()
@@ -216,11 +218,12 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
         exact_b = exact if offset is None else offset + exact
         exact_v = a @ exact_b
         g = qn - exact_v
+        g[~live] = 0.0
         kkt = float(_kkt_violation(g, exact, lam))
         if kkt <= cap:
             return exact, exact_b, exact_v, kkt
         # g now holds each coordinate's violation, |g_j| - lam off S
-        new = np.flatnonzero((g > cap) & (pattern == 0.0) & live)
+        new = np.flatnonzero((g > cap) & (pattern == 0.0))
         if not new.size:
             return None
         pattern[new] = np.sign(qn[new] - exact_v[new])
@@ -491,13 +494,13 @@ def nodewise_precision(
     loop solves them together: the visit to coordinate k updates every
     live problem j != k at once, in the coordinate order of `_fit_gram`,
     skipping zero-variance coordinates, with a fresh G @ gamma after
-    every sweep.  A problem whose sign pattern on its nonempty support S
-    survives a sweep gets the one-shot exact finish
-    G[S, S] gamma_S = G[j, S] - lambda_j * sign_S, accepted when it keeps
-    the pattern and its KKT violation is at most tol * sqrt(G[j, j]);
-    it takes none of the active-set steps of `_fit_gram`, and a rejected
-    pattern is not tried again until a sweep changes it.  Otherwise the
-    problem passes when its largest coefficient move and its KKT
+    every sweep.  A problem whose nonempty sign pattern survives a sweep
+    takes the active-set steps of `_active_set_finish` on base G[j], with
+    coordinate j not a variable, and so ends where a solve of its own
+    ends: on the first support point that keeps its signs with a KKT
+    violation of at most tol * sqrt(G[j, j]).  When a step cannot be
+    taken, the pattern is not tried again until a sweep changes it, and
+    the problem passes when its largest coefficient move and its KKT
     violation are both at most that cap.  A problem that passes is
     frozen.  Failures are reported for the lowest failing row:
     ConvergenceError when it used up max_iter sweeps, ValueError when its
@@ -560,7 +563,7 @@ def nodewise_precision(
                 np.maximum(moves, np.abs(step), out=moves)
         sweeps += 1
         # problems whose nonempty sign pattern survived the sweep, and has
-        # not failed its finish yet, try the exact finish below
+        # not failed its finish yet, take the active-set steps below
         stable = (np.sign(gam) == signs).all(axis=1)
         tried[live[~stable]] = False
         finish = np.flatnonzero(stable & ~tried[live] & gam.any(axis=1))
@@ -574,18 +577,14 @@ def nodewise_precision(
         del g  # free it before the compaction below makes its own copies
         for c in finish.tolist():
             j = live[c]
-            support = np.flatnonzero(gam[c])
-            sign = np.sign(gam[c, support])
-            x = _support_point(gram, gram[j], hi[c], support, sign)
-            if x is None or not np.array_equal(np.sign(x), sign):
-                continue
-            row = np.zeros(p)
-            row[support] = x
-            row_fit = x @ gram[support]
-            g = gram[j] - row_fit
-            g[j] = 0.0
-            if _kkt_violation(g, row, hi[c]) <= cap[c]:
-                gam[c], fit[c], done[c] = row, row_fit, True
+            own = diag > 0.0
+            own[j] = False  # problem j does not regress on itself
+            step = _active_set_finish(gram, gram[j], gram[j], hi[c], None, own, gam[c], cap[c])
+            if step is not None:
+                row = step[0]
+                support = np.flatnonzero(row)
+                # x_S @ G[S] keeps tau_sq's bits; the finish's G @ x differs in the last bit
+                gam[c], fit[c], done[c] = row, row[support] @ gram[support], True
         if done.any():
             finished = live[done]
             tau_sq[finished] = diag[finished] - fit[done, finished]

@@ -83,6 +83,18 @@ def test_write_dataset_matches_per_cell_format(tmp_path):
     assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize(
+    "rows, names, message",
+    [(4, None, "x has 4 rows but y has 3"), (3, ["a", "b", "c", "d"], "4 feature names for 3 columns")],
+)
+def test_write_dataset_rejects_mismatched_shapes(tmp_path, rows, names, message):
+    # either mismatch would write a file that reads back wrong or not at all
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=message):
+        write_dataset(str(path), np.ones((rows, 3)), np.ones(3), feature_names=names)
+    assert not path.exists()
+
+
 def test_writer_files_take_the_fast_path(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("row loop ran on a write_dataset file")

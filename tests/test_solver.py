@@ -18,6 +18,7 @@ from transfarm.solver import (
     DEFAULT_TOL,
     GramPiece,
     LassoProblem,
+    _active_set_finish,
     _fit_gram,
     _support_point,
     gram_piece,
@@ -618,6 +619,20 @@ def test_active_set_never_adds_a_zero_variance_column(support_solves):
     assert delta[2] == 0.0
 
 
+def test_active_set_leaves_out_coordinates_outside_live(support_solves):
+    # coordinate 2 is not a variable (as a nodewise problem's own column
+    # is not): its gradient far exceeds lam at every point, yet only
+    # coordinate 1 is added and the KKT value accepted ignores 2
+    a = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
+    qn = np.array([0.6, 0.5, 2.0])
+    lam, cap = 0.05, 1e-8
+    live = np.array([True, True, False])
+    delta, _, v, kkt = _active_set_finish(a, qn, qn, lam, None, live, np.array([0.3, 0.0, 0.0]), cap)
+    assert support_solves == [([0], False), ([0, 1], False)]
+    assert kkt <= cap and qn[2] - v[2] > 30 * lam
+    assert delta.tobytes() == embedded(a, qn, lam, [0, 1], [1.0, 1.0]).tobytes()
+
+
 def test_desk_size_solves_end_on_the_exact_finish():
     # fails if the finish never fires: a stop at tol leaves KKT gaps near
     # 1e-8, four orders above these bounds
@@ -782,6 +797,18 @@ def test_nodewise_matches_row_by_row_oracle(design):
         others = np.arange(p) != j
         alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], float(lambdas[j])))
         assert_allclose(-est.theta[j, others] * est.tau_sq[j], alone.coef, atol=1e-10)
+
+
+def test_nodewise_rows_take_the_active_set_steps():
+    # each row's finish drops and adds coordinates as a solve of its own
+    # does, so the coupled rows settle in 6 sweeps on the same bits; a
+    # finish that only sweeps on after a rejected support needed 12 here
+    gen = np.random.default_rng(7)
+    u = gen.standard_normal((60, 12)) + 0.7 * gen.standard_normal((60, 1))
+    fast = nodewise_precision(u, lambda_node=0.05, max_iter=6)
+    est = nodewise_precision(u, lambda_node=0.05)
+    assert fast.theta.tobytes() == est.theta.tobytes()
+    assert fast.tau_sq.tobytes() == est.tau_sq.tobytes()
 
 
 def test_nodewise_reports_lowest_degenerate_column():
