@@ -242,14 +242,8 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     the result is exactly equivariant under rescaling of r and lam by a
     power of two.
 
-    Each sweep updates the coordinates in index order, skipping those
-    with a[j, j] <= 0.  A coordinate that is zero stays zero when
-    |qn[j] - v[j]| <= lam, so the nonzeros are visited one at a time and
-    each run of zeros between two of them is tested at once against the
-    current v; only a coordinate that fails the test is updated, and the
-    run's test resumes after it.  Every update of v happens in the same
-    order with the same operands as a visit to each coordinate in turn,
-    so the sweeps are the same bit for bit.
+    Each sweep visits the live coordinates, those with a[j, j] > 0, in
+    index order and soft-thresholds each against the current v.
 
     A sweep that leaves the sign pattern of delta unchanged, on a nonempty
     support S, is followed by the exact finish, a primal active-set loop
@@ -280,10 +274,8 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     diag = np.diagonal(a).copy()
     diag_l = diag.tolist()
     qn_l = qn.tolist()
-    # a zero coordinate leaves zero only when |qn[j] - v[j]| > bound[j];
-    # the infinite bound keeps zero-variance coordinates out of the test
     live = diag > 0.0
-    bound = np.where(live, lam, math.inf)
+    coords = np.flatnonzero(live).tolist()
     v = a @ b
     base = qn if offset is None else qn - a @ offset
     tried = False  # the current sign pattern has failed its exact finish
@@ -293,48 +285,29 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     while sweeps < max_iter:
         max_change = 0.0
         sign = np.sign(delta)
-        nonzero = np.flatnonzero(delta)
-        # run i holds the zeros before nonzero i (the last run ends at p)
-        ends = nonzero.tolist()
-        ends.append(p)
-        lo = 0
-        for end in ends:
-            while True:
-                # next coordinate to visit: the first zero in [lo, end)
-                # that fails its test, else the nonzero at end
-                j = end
-                if lo < end:
-                    hit = np.abs(qn[lo:end] - v[lo:end]) > bound[lo:end]
-                    first = int(hit.argmax())
-                    if hit[first]:
-                        j = lo + first
-                if j == p:
-                    break
-                ajj = diag_l[j]
-                if ajj > 0.0:
-                    dj = delta.item(j)
-                    c = qn_l[j] - v.item(j) + ajj * dj
-                    if c > lam:
-                        new = (c - lam) / ajj
-                    elif c < -lam:
-                        new = (c + lam) / ajj
-                    else:
-                        new = 0.0
-                    if new != dj:
-                        step = new - dj
-                        v += a[j] * step
-                        delta[j] = new
-                        b[j] += step
-                        moved = abs(step)
-                        if moved > max_change:
-                            max_change = moved
-                lo = j + 1
-                if j == end:
-                    break
+        nonzero = delta.any()
+        for j in coords:
+            ajj = diag_l[j]
+            dj = delta.item(j)
+            c = qn_l[j] - v.item(j) + ajj * dj
+            if c > lam:
+                new = (c - lam) / ajj
+            elif c < -lam:
+                new = (c + lam) / ajj
+            else:
+                new = 0.0
+            if new != dj:
+                step = new - dj
+                v += a[j] * step
+                delta[j] = new
+                b[j] += step
+                moved = abs(step)
+                if moved > max_change:
+                    max_change = moved
         sweeps += 1
         if not np.array_equal(np.sign(delta), sign):
             tried = False
-        elif nonzero.size and not tried:
+        elif nonzero and not tried:
             tried = True
             finish = _active_set_finish(a, qn, base, lam, offset, live, delta, cap)
             if finish is not None:
@@ -511,13 +484,12 @@ def nodewise_precision(
     if n < 2 or p < 1:
         raise ValueError(f"u must have at least 2 rows and 1 column, got {u.shape}")
     if lambda_node is None:
-        lambdas = np.full(p, lambda_c * math.sqrt(math.log(p) / n))
-    elif np.isscalar(lambda_node):
-        lambdas = np.full(p, float(lambda_node))
-    else:
-        lambdas = check_vector(np.asarray(lambda_node, dtype=np.float64), "lambda_node")
-        if lambdas.size != p:
-            raise ValueError(f"lambda_node has length {lambdas.size}, expected {p}")
+        lambda_node = lambda_c * math.sqrt(math.log(p) / n)
+    if np.isscalar(lambda_node):
+        lambda_node = np.full(p, float(lambda_node))
+    lambdas = check_vector(lambda_node, "lambda_node")
+    if lambdas.size != p:
+        raise ValueError(f"lambda_node has length {lambdas.size}, expected {p}")
     if np.any(lambdas < 0):
         raise ValueError("nodewise penalties must be nonnegative")
 

@@ -9,6 +9,7 @@ keeps those within a threshold of the target-only fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -132,6 +133,9 @@ class TransferConfig:
                 f"threshold must be '{THRESHOLD_TWICE_TARGET}' or '{THRESHOLD_EPS0}',"
                 f" got {self.threshold!r}"
             )
+        for name in ("lambda_c", "eps0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.threshold == THRESHOLD_EPS0 and self.eps0 < 0:
             raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
         if self.folds < 2:
@@ -276,6 +280,10 @@ def fold_loss(
     coef = check_vector(coef, "coef")
     u = check_matrix(u, "u")
     y_tilde = check_vector(y_tilde, "y_tilde")
+    if y_tilde.size != u.shape[0]:
+        raise ValueError(f"y_tilde has length {y_tilde.size}, u has {u.shape[0]} rows")
+    if coef.size != u.shape[1]:
+        raise ValueError(f"coef has length {coef.size}, u has {u.shape[1]} columns")
     fold = np.asarray(fold, dtype=np.int64)
     if fold.ndim != 1 or fold.size == 0:
         raise ValueError("fold must be a nonempty 1-d index array")
@@ -325,6 +333,22 @@ def detect_sources(
     stops on the sweep rule instead can move within the solver tolerance.
     Loop order decides which failure a ConvergenceError names first: a
     target fold before any source, and source k before source k + 1.
+
+    How the rule behaves on the acceptance desk design (n0 = nk = 150,
+    p = 200, six sources, rank 2, factor mode, three folds), over 8
+    replications at each |A| in {0, 2, 4} drawn as run_experiment draws
+    them from base seed 2024: 140 of the 144 mean source losses fell
+    below the target-only loss L0 and the other 4 lay within 2.5 % above
+    it, so the "2L0" rule kept every source in all 24 replications.
+    Neither it nor the fold-sd rule of Tian and Feng (2023, JASA), cutoff
+    L0 + eps0 * max(sd of the target's fold losses, 0.01) with eps0 = 1
+    or 2, recovered any of the 24 informative sets, and at |A| = 2 and 4
+    a non-informative source had the lowest loss in 6 of the 16 sets.
+    At this sample size the non-informative sources do lower the
+    held-out target loss.  Li, Cai and Li (2022, JRSS-B, Trans-Lasso)
+    instead rank the sources by an estimated distance to the target and
+    aggregate over the nested candidate sets; that alternative is not
+    implemented here.
     """
     config = config or TransferConfig()
     if target.n < 2 * config.folds:

@@ -763,6 +763,15 @@ def test_nodewise_degenerate_column_reported():
         nodewise_precision(u, lambda_node=0.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_nodewise_rejects_non_finite_scalar_penalty(lam):
+    # NaN would run every sweep before a ConvergenceError, and inf would
+    # return a diagonal theta
+    u = np.random.default_rng(19).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="lambda_node contains non-finite entries"):
+        nodewise_precision(u, lambda_node=lam)
+
+
 def test_nodewise_single_column():
     u = np.linspace(1.0, 2.0, 25).reshape(-1, 1)
     est = nodewise_precision(u)

@@ -10,6 +10,7 @@ import transfarm.factor
 import transfarm.transfer
 from transfarm.factor import decompose, residualize
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
+from transfarm.simlab import SimConfig
 from transfarm.solver import LassoProblem, lasso_fit, penalty_level, scaled_lasso
 from transfarm.transfer import (
     MODE_FARM,
@@ -78,6 +79,21 @@ def test_fold_loss_validates_indices():
         fold_loss(np.zeros(2), u, y, np.array([], dtype=int))
     with pytest.raises(ValueError):
         fold_loss(np.zeros(2), u, y, np.array([5]))
+
+
+@pytest.mark.parametrize(
+    "coef,y,message",
+    [
+        (np.zeros(2), np.ones(4), "y_tilde has length 4, u has 5 rows"),
+        (np.zeros(2), np.ones(6), "y_tilde has length 6, u has 5 rows"),
+        (np.zeros(3), np.ones(5), "coef has length 3, u has 2 columns"),
+    ],
+    ids=["short-y", "long-y", "long-coef"],
+)
+def test_fold_loss_rejects_mismatched_shapes(coef, y, message):
+    # a longer y_tilde would score rows that do not belong together
+    with pytest.raises(ValueError, match=message):
+        fold_loss(coef, np.ones((5, 2)), y, np.arange(3))
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +220,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(threshold="eps0", eps0=-0.1)
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
+
+
+@pytest.mark.parametrize("name", ["lambda_c", "eps0"])
+def test_config_rejects_non_finite_values(name):
+    # a NaN eps0 would keep no source, with NaN margins; SimConfig checks
+    # its fields through the TransferConfig a replication uses
+    for value in (np.nan, np.inf, -np.inf):
+        for make in (TransferConfig, SimConfig):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make(threshold="eps0", **{name: value})
 
 
 # ----------------------------------------------------------------------
