@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from transfarm.transfer import (
     MODE_LASSO,
     Dataset,
     TransferConfig,
-    detect_and_fit,
+    TransferFit,
+    detect_sources,
     two_step_fit,
 )
 
@@ -87,9 +88,17 @@ class SimConfig:
     redraw_informative: bool = True
 
     def __post_init__(self):
-        for name in ("n0", "nk"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
+        for name, low in (("n0", 2), ("nk", 2), ("p", 1), ("s", 0), ("k_sources", 0),
+                          ("rank", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        for f in fields(self):  # annotations are postponed, so f.type is their text
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if not all(math.isfinite(g) for g in self.gamma0):
+            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
+        if not 0 <= self.rho < 1:
+            raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.s > self.p:
             raise ValueError(f"s = {self.s} exceeds p = {self.p}")
         if not 0 <= self.a_size <= self.k_sources:
@@ -264,9 +273,13 @@ def _transfer_config(config: SimConfig, mode: str, rep: int) -> TransferConfig:
 
 
 def _run_replication(config: SimConfig, rep: int, informative):
+    """Fit the roster on one draw.  Estimators that pool the same sources
+    in the same mode share one two-step fit: it is made by the first of
+    them in roster order and held until the replication ends."""
     rng = RngStream(config.base_seed, 0, (0, rep))
     target, sources, truth = generate(config, rng, informative)
     all_sources = tuple(range(1, config.k_sources + 1))
+    fits: dict[tuple[str, tuple[int, ...]], TransferFit] = {}
     rows: list[SimRow] = []
     failures: list[tuple[int, str, str]] = []
     for name in config.roster:
@@ -274,18 +287,19 @@ def _run_replication(config: SimConfig, rep: int, informative):
         cfg = _transfer_config(config, mode, rep)
         start = time.perf_counter()
         try:
+            selected = None
             if name in ("only-FARM", "only-Lasso"):
-                fit = two_step_fit(target, sources, (), cfg)
-                selected = None
+                chosen = ()
             elif name in ("Oracle-Trans-FARM", "Oracle-Trans-Lasso"):
-                fit = two_step_fit(target, sources, truth.informative, cfg)
-                selected = None
+                chosen = truth.informative
             elif name in ("Pooled-Trans-FARM", "Pooled-Trans-Lasso"):
-                fit = two_step_fit(target, sources, all_sources, cfg)
-                selected = None
+                chosen = all_sources
             else:  # Trans-FARM / Trans-Lasso
-                fit, report = detect_and_fit(target, sources, cfg)
-                selected = report.selected
+                selected = chosen = detect_sources(target, sources, cfg).selected
+            key = (mode, chosen)  # every source set here is a sorted tuple
+            if key not in fits:
+                fits[key] = two_step_fit(target, sources, chosen, cfg)
+            fit = fits[key]
         except Exception as exc:  # noqa: BLE001 - failures are data, not crashes
             failures.append((rep, name, f"{type(exc).__name__}: {exc}"))
             continue
@@ -309,7 +323,9 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
     Replications are pure functions of (config, replication index), so
     results are identical for any `threads` at a fixed BLAS thread count
     (a different BLAS thread count can move the last bits); rows come
-    back sorted by replication then roster order.  At most one worker
+    back sorted by replication then roster order.  Within a replication
+    each (mode, source set) is fitted once and shared by every estimator
+    that pools that set.  At most one worker
     process runs per replication, and a single worker means no pool at
     all.  More than FAILURE_BUDGET of estimator runs failing aborts with
     the recorded messages.

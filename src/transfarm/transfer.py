@@ -327,7 +327,9 @@ def detect_sources(
     2, and so on.  Each fold's training Gram piece is formed once and
     each source's piece is formed when its turn comes and dropped after
     its folds.  A fit on fold r starts from the same dataset's fit on
-    fold r - 1.  A fit that ends on the solver's exact finish returns the
+    fold r - 1, and source k's fit on fold 0 from dataset k - 1's fit on
+    fold 0 (the target's for k = 1), so only the target's fold 0 starts
+    cold.  A fit that ends on the solver's exact finish returns the
     KKT point of its support and signs whatever its start, so the start
     changes how many sweeps find that point, not the point; a fit that
     stops on the sweep rule instead can move within the solver tolerance.
@@ -370,9 +372,10 @@ def detect_sources(
         fold_pieces.append(gram_piece(u0[train], y0[train]))
     # column 0 holds the target-only fits, column k the pooled fits of source k
     losses = np.zeros((config.folds, k_total + 1))
+    first = None  # the previous dataset's fold-0 fit
     for k in range(k_total + 1):
         extra = [gram_piece(*splits[k].block)] if k else []
-        coef = None
+        coef = first
         for r, hold in enumerate(split):
             what = (
                 f"detection pooled fit (fold {r}, source {k})" if k
@@ -380,6 +383,8 @@ def detect_sources(
             )
             coef, _ = _lasso([fold_pieces[r], *extra], sigma, config, what, warm_start=coef)
             losses[r, k] = fold_loss(coef, u0, y0, hold)
+            if r == 0:
+                first = coef
 
     target_loss = float(losses[:, 0].mean())
     per_source = losses[:, 1:].mean(axis=0)

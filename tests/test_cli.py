@@ -532,11 +532,15 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--lambda-c", "-1"], "lambda_c must be nonnegative, got -1.0"),
         (["simulate", "--sim-max-rank", "0"], "max_rank must be at least 1, got 0"),
         (["simulate", "--sim-nk", "1"], "nk must be at least 2, got 1"),
+        (["simulate", "--sim-s", "-1"], "s must be at least 0, got -1"),
+        (["simulate", "--sim-rho", "1"], "rho must lie in [0, 1), got 1.0"),
+        (["simulate", "--sim-gamma0", "nan,0.5"], "gamma0 must be finite"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
          "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
          "simulate-threads-below-1", "simulate-folds", "simulate-lambda-c",
-         "simulate-max-rank", "simulate-nk"],
+         "simulate-max-rank", "simulate-nk", "simulate-s-negative", "simulate-rho-1",
+         "simulate-gamma0-nan"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)

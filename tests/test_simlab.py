@@ -276,6 +276,24 @@ def test_each_mode_fits_its_target_sigma_once(monkeypatch):
     assert [key(r) for r in parallel.rows] == [key(r) for r in result.rows]
 
 
+@pytest.mark.parametrize("a_size", [0, 2])  # the oracle set is () or every source
+def test_roster_makes_one_fit_per_source_set(monkeypatch, a_size):
+    fit_calls = counter(monkeypatch, transfarm.simlab, "two_step_fit")
+    detect_calls = counter(monkeypatch, transfarm.simlab, "detect_sources")
+    cfg = tiny_config(roster=ALL_ESTIMATORS, replications=2, a_size=a_size, base_seed=21)
+    result = run_experiment(cfg)
+    assert not result.failures and len(result.rows) == 8 * cfg.replications
+    all_sources = tuple(range(1, cfg.k_sources + 1))
+    expected = 0
+    for rep, informative in enumerate(result.informative_sets):
+        for names in (FARM_ESTIMATORS, LASSO_ESTIMATORS):
+            (selected,) = [r.selected for r in result.rows
+                           if r.replication == rep and r.estimator == names[1]]
+            expected += len({(), selected, informative, all_sources})
+    assert len(fit_calls) == expected
+    assert len(detect_calls) == 2 * cfg.replications
+
+
 def test_fixed_informative_set_is_shared_across_replications():
     cfg = tiny_config(
         roster=("only-Lasso",), replications=3, redraw_informative=False, base_seed=8
@@ -339,6 +357,25 @@ def test_config_validation():
         tiny_config(roster=("only-FARM", "ridge"))
     with pytest.raises(ValueError, match="roster must name at least one"):
         tiny_config(roster=())
+    with pytest.raises(ValueError, match="s must be at least 0, got -1"):
+        tiny_config(s=-1)
+    with pytest.raises(ValueError, match="p must be at least 1, got 0"):
+        tiny_config(p=0, s=0)
+    with pytest.raises(ValueError, match="k_sources must be at least 0, got -1"):
+        tiny_config(k_sources=-1, a_size=0)
+    with pytest.raises(ValueError, match="rank must be at least 0, got -1"):
+        tiny_config(rank=-1)
+    for rho in (-0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\)"):
+            tiny_config(rho=rho)
+    for name in ("eta", "signal", "rho", "cov_spike", "loading_width", "adversarial_mult",
+                 "gamma_jitter_informative", "gamma_jitter_adversarial"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                tiny_config(**{name: bad})
+    with pytest.raises(ValueError, match="gamma0 must be finite"):
+        tiny_config(gamma0=(0.5, float("nan")))
+    assert tiny_config(s=0, rho=0.0).s == 0
     assert set(ALL_ESTIMATORS) >= set(SimConfig().roster)
 
 

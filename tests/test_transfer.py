@@ -330,10 +330,8 @@ def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
     monkeypatch.setattr(transfarm.transfer, "lasso_fit", counted)
     report = detect_sources(target, sources, config)
     folds, k_total = config.folds, len(sources)
-    # target folds first, then each source's folds, each run from a cold start
-    assert calls == [(1, r == 0) for r in range(folds)] + [
-        (2, r == 0) for _ in range(k_total) for r in range(folds)
-    ]
+    # target folds first, then each source's folds; only the target's fold 0 starts cold
+    assert calls == [(1, r == 0) for r in range(folds)] + [(2, False)] * (k_total * folds)
 
     loss_target, loss_source, per_source, target_loss, selected = fold_major_detection(
         target, sources, config
