@@ -276,10 +276,6 @@ def _c_str_list(key, raw):
     return tuple(tok.strip() for tok in str(raw).split(",") if tok.strip() != "")
 
 
-def _c_paths(key, raw):
-    return [tok.strip() for tok in str(raw).split(",") if tok.strip() != ""]
-
-
 _SHARED = [
     ("seed", 0, _c_int),
     ("out", ".", _c_str),
@@ -288,7 +284,7 @@ _SHARED = [
 # pipeline defaults are TransferConfig's, typed as their converters return them
 _DATA = [
     ("target", None, _c_str),
-    ("source", [], _c_paths),
+    ("source", (), _c_str_list),
     ("response", "y", _c_str),
     ("rank", TransferConfig.rank, _c_rank),
     ("lambda_c", TransferConfig.lambda_c, _c_float),

@@ -89,7 +89,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, low in (("n0", 2), ("nk", 2), ("p", 1), ("s", 0), ("k_sources", 0),
-                          ("rank", 0)):
+                          ("rank", 0), ("base_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         for f in fields(self):  # annotations are postponed, so f.type is their text
@@ -119,8 +119,16 @@ class SimConfig:
         unknown = [name for name in self.roster if name not in ALL_ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}; choose from {ALL_ESTIMATORS}")
+        twice = sorted({name for name in self.roster if self.roster.count(name) > 1})
+        if twice:
+            raise ValueError(f"roster names {twice} more than once")
         # the pipeline checks its own knobs: build the config a replication uses
         _transfer_config(self, MODE_FARM, 0)
+        if {"Trans-FARM", "Trans-Lasso"} & set(self.roster) and self.n0 < 2 * self.folds:
+            raise ValueError(
+                f"detection with folds = {self.folds} needs n0 >= {2 * self.folds},"
+                f" got n0 = {self.n0}"
+            )
 
 
 @dataclass
@@ -184,6 +192,12 @@ def _rademacher(gen: np.random.Generator, size: int) -> np.ndarray:
     return gen.integers(0, 2, size) * 2.0 - 1.0
 
 
+def _draw_informative(config: SimConfig, gen: np.random.Generator) -> tuple[int, ...]:
+    """a_size of the 1-based source positions, uniformly without replacement, sorted."""
+    pick = gen.choice(config.k_sources, size=config.a_size, replace=False)
+    return tuple(sorted(int(i) + 1 for i in pick))
+
+
 def generate(
     config: SimConfig,
     rng: RngStream,
@@ -197,9 +211,7 @@ def generate(
     """
     p, r = config.p, config.rank
     if informative is None:
-        gen = rng.generator(1, 0)
-        pick = gen.choice(config.k_sources, size=config.a_size, replace=False)
-        informative = tuple(sorted(int(i) + 1 for i in pick))
+        informative = _draw_informative(config, rng.generator(1, 0))
     else:
         informative = tuple(sorted(int(i) for i in informative))
         if len(informative) != config.a_size:
@@ -334,9 +346,7 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
         raise ValueError(f"threads must be at least 1, got {threads}")
     informative = None
     if not config.redraw_informative:
-        gen = RngStream(config.base_seed, 0, (1,)).generator()
-        pick = gen.choice(config.k_sources, size=config.a_size, replace=False)
-        informative = tuple(sorted(int(i) + 1 for i in pick))
+        informative = _draw_informative(config, RngStream(config.base_seed, 0, (1,)).generator())
 
     reps = range(config.replications)
     workers = min(threads, config.replications)

@@ -474,8 +474,10 @@ def nodewise_precision(
     violation of at most tol * sqrt(G[j, j]).  When a step cannot be
     taken, the pattern is not tried again until a sweep changes it, and
     the problem passes when its largest coefficient move and its KKT
-    violation are both at most that cap.  A problem that passes is
-    frozen.  Failures are reported for the lowest failing row:
+    violation are both at most that cap.  Rows are kept by problem: a
+    problem that passes is frozen, its gamma goes straight to row j of
+    the result, and the sweeps go on over the live problems' rows in
+    index order.  Failures are reported for the lowest failing row:
     ConvergenceError when it used up max_iter sweeps, ValueError when its
     residual variance is degenerate.
     """
@@ -497,25 +499,24 @@ def nodewise_precision(
     diag = np.diagonal(gram).copy()
     # stopping thresholds of problem j, scaled by its response RMS as in _fit_gram
     caps = tol * np.where(diag > 0.0, np.sqrt(diag), 1.0)
-    # Problem-major storage: row c of coef holds gamma for problem order[c]
-    # (zero at its own coordinate) and row c of fitted holds gram @ gamma.
-    # Rows [:m] are the live problems; converged ones are moved behind them.
+    # Row j of coef holds gamma for problem j (zero at its own coordinate).
+    # live lists the unconverged problems in index order; row c of gam and
+    # fit holds gamma and gram @ gamma for problem live[c].
     coef = np.zeros((p, p))
-    fitted = np.zeros((p, p))
-    order = np.arange(p)
+    live = np.arange(p)
+    gam = np.zeros((p, p))
+    fit = np.zeros((p, p))
     tau_sq = np.zeros(p)
     converged = np.zeros(p, dtype=bool)
     tried = np.zeros(p, dtype=bool)  # problem j's sign pattern failed its exact finish
-    m = p
     sweeps = 0
-    while m and sweeps < max_iter:
-        live = order[:m].copy()
+    while live.size and sweeps < max_iter:
+        m = live.size
         slot = np.full(p, -1)
         slot[live] = np.arange(m)
         hi = lambdas[live]
         lo = -hi
         cap = caps[live]
-        gam, fit = coef[:m], fitted[:m]
         moves = np.zeros(m)
         signs = np.sign(gam)
         for k in range(p):
@@ -546,7 +547,7 @@ def nodewise_precision(
         g -= fit
         g[np.arange(m), live] = 0.0  # coordinate j is not a variable of problem j
         done = (moves <= cap) & (_kkt_violation(g, gam, hi[:, None]) <= cap)
-        del g  # free it before the compaction below makes its own copies
+        del g  # free it before the filtering below makes its own copies
         for c in finish.tolist():
             j = live[c]
             own = diag > 0.0
@@ -561,12 +562,8 @@ def nodewise_precision(
             finished = live[done]
             tau_sq[finished] = diag[finished] - fit[done, finished]
             converged[finished] = True
-            keep = np.flatnonzero(~done)
-            perm = np.concatenate([keep, np.flatnonzero(done)])
-            coef[:m] = gam[perm]
-            fitted[: keep.size] = fit[keep]
-            order[:m] = live[perm]
-            m = keep.size
+            coef[finished] = gam[done]
+            gam, fit, live = gam[~done], fit[~done], live[~done]
 
     bad = ~converged | (tau_sq <= TAU_SQ_FLOOR)
     if bad.any():
@@ -576,8 +573,7 @@ def nodewise_precision(
         raise ValueError(
             f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
         )
-    theta = fitted  # the work buffer becomes the result
-    theta[order] = coef
+    theta = coef
     theta /= -tau_sq[:, None]
     np.fill_diagonal(theta, 1.0 / tau_sq)
     return PrecisionEstimate(theta=theta, lambdas=lambdas, tau_sq=tau_sq)

@@ -144,6 +144,8 @@ class TransferConfig:
             raise ValueError(f"lambda_c must be nonnegative, got {self.lambda_c}")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError(f"max_rank must be at least 1, got {self.max_rank}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def effective_rank(self) -> int | None:
         # Plain-lasso mode strips the factor step entirely.
@@ -295,20 +297,6 @@ def fold_loss(
     return float(resid @ resid) / fold.size
 
 
-def _fold_split(n: int, folds: int, gen: np.random.Generator) -> list[np.ndarray]:
-    # Shuffle once, then cut contiguous near-equal pieces; the remainder
-    # goes one row at a time to the leading folds.
-    order = gen.permutation(n)
-    base, extra = divmod(n, folds)
-    sizes = [base + (1 if i < extra else 0) for i in range(folds)]
-    out = []
-    at = 0
-    for s in sizes:
-        out.append(order[at : at + s])
-        at += s
-    return out
-
-
 def detect_sources(
     target: Dataset,
     sources: list[Dataset],
@@ -364,7 +352,7 @@ def detect_sources(
     sigma = splits[0].sigma
 
     gen = RngStream(config.seed).generator(0)
-    split = _fold_split(target.n, config.folds, gen)
+    split = np.array_split(gen.permutation(target.n), config.folds)
     k_total = len(sources)
     fold_pieces = []
     for r in range(config.folds):

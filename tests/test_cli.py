@@ -535,12 +535,20 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--sim-s", "-1"], "s must be at least 0, got -1"),
         (["simulate", "--sim-rho", "1"], "rho must lie in [0, 1), got 1.0"),
         (["simulate", "--sim-gamma0", "nan,0.5"], "gamma0 must be finite"),
+        *(
+            ([command, "--target", "{t}", "--source", "{s}", "--seed", "-1"],
+             "seed must be nonnegative, got -1")
+            for command in ("fit", "detect", "transfer", "infer")
+        ),
+        (["simulate", "--seed", "-1"], "base_seed must be at least 0, got -1"),
+        (["simulate", "--sim-n0", "5"], "detection with folds = 3 needs n0 >= 6, got n0 = 5"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
          "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
          "simulate-threads-below-1", "simulate-folds", "simulate-lambda-c",
          "simulate-max-rank", "simulate-nk", "simulate-s-negative", "simulate-rho-1",
-         "simulate-gamma0-nan"],
+         "simulate-gamma0-nan", "fit-seed", "detect-seed", "transfer-seed", "infer-seed",
+         "simulate-seed", "simulate-n0-below-folds"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)

@@ -330,8 +330,10 @@ def test_detection_seed_is_stable_per_replication():
 
 
 def test_replication_runner_reports_failures_as_data():
-    # five target rows cannot host three detection folds
-    bad = tiny_config(n0=5, s=2, roster=("Trans-FARM",))
+    # five target rows cannot host three detection folds; SimConfig refuses
+    # such a design, so n0 is set after construction to reach the fit
+    bad = tiny_config(s=2, roster=("Trans-FARM",))
+    bad.n0 = 5
     rep, rows, _, failures = _run_replication(bad, 0, None)
     assert rep == 0
     assert rows == [] and len(failures) == 1
@@ -339,7 +341,8 @@ def test_replication_runner_reports_failures_as_data():
 
 
 def test_failure_budget_aborts_experiment():
-    bad = tiny_config(n0=5, s=2, roster=("Trans-FARM",), replications=2)
+    bad = tiny_config(s=2, roster=("Trans-FARM",), replications=2)
+    bad.n0 = 5  # past SimConfig's check, so every detection fails
     with pytest.raises(RuntimeError, match="estimator runs failed"):
         run_experiment(bad)
 
@@ -375,6 +378,15 @@ def test_config_validation():
                 tiny_config(**{name: bad})
     with pytest.raises(ValueError, match="gamma0 must be finite"):
         tiny_config(gamma0=(0.5, float("nan")))
+    with pytest.raises(ValueError, match="base_seed must be at least 0, got -1"):
+        tiny_config(base_seed=-1)
+    with pytest.raises(ValueError, match=r"roster names \['only-FARM'\] more than once"):
+        tiny_config(roster=("only-FARM", "Trans-Lasso", "only-FARM"))
+    for name in ("Trans-FARM", "Trans-Lasso"):
+        with pytest.raises(ValueError, match="folds = 3 needs n0 >= 6, got n0 = 5"):
+            tiny_config(n0=5, s=2, roster=("only-FARM", name))
+    assert tiny_config(n0=5, s=2, roster=ALL_ESTIMATORS, folds=2).n0 == 5
+    assert tiny_config(n0=2, s=2, roster=("only-FARM", "Pooled-Trans-Lasso")).n0 == 2
     assert tiny_config(s=0, rho=0.0).s == 0
     assert set(ALL_ESTIMATORS) >= set(SimConfig().roster)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -107,6 +107,53 @@ def test_warm_start_changes_iterations_not_solution():
         worst = max(worst, float(np.max(np.abs(cold.coef - warm.coef))))
         assert warm.converged
     assert worst < 1e-6
+
+
+@st.composite
+def cold_and_warm_starts(draw):
+    """A lasso on Gram pieces, with or without an offset, and a random
+    warm start: some entries zero, the rest at one of three scales."""
+    p = draw(st.integers(1, 30))
+    n = draw(st.integers(2, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = gen.standard_normal((n, p))
+    r = z[:, : max(1, p // 4)].sum(axis=1) + gen.standard_normal(n)
+    a, qn, r0n = gram_of(z, r)
+    offset = gen.standard_normal(p) if draw(st.booleans()) else None
+    base = qn if offset is None else qn - a @ offset
+    lam = draw(st.floats(0.02, 0.9)) * float(np.abs(base).max())
+    start = gen.standard_normal(p) * draw(st.sampled_from([0.01, 1.0, 100.0]))
+    start[gen.random(p) < draw(st.floats(0.0, 1.0))] = 0.0
+    return a, qn, r0n, lam, offset, start
+
+
+def solve_and_spy(a, qn, r0n, lam, offset, start):
+    """_fit_gram's coefficients, and whether the solve ended on the
+    active-set finish: a finish that returns a point ends the solve."""
+    returned = []
+    real = solver._active_set_finish
+
+    def spy(*args):
+        out = real(*args)
+        returned.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_active_set_finish", spy)
+        delta = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
+    return delta, any(returned)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cold_and_warm_starts())
+def test_solves_ending_on_the_finish_are_path_independent(problem):
+    # the finish returns the support point of its support and signs, so
+    # the start changes how many sweeps find it, not one bit of it
+    *pieces, start = problem
+    cold, cold_finished = solve_and_spy(*pieces, None)
+    warm, warm_finished = solve_and_spy(*pieces, start)
+    assume(cold_finished and warm_finished)
+    assert cold.tobytes() == warm.tobytes()
 
 
 def test_block_permutation_invariance():

@@ -17,7 +17,6 @@ from transfarm.transfer import (
     MODE_LASSO,
     Dataset,
     TransferConfig,
-    _fold_split,
     detect_and_fit,
     detect_sources,
     fold_loss,
@@ -219,6 +218,8 @@ def test_config_validation():
         TransferConfig(folds=1)
     with pytest.raises(ValueError):
         TransferConfig(threshold="eps0", eps0=-0.1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        TransferConfig(seed=-1)
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
 
 
@@ -282,7 +283,9 @@ def fold_major_detection(target, sources, config):
     splits = [d.split(config) for d in [target, *sources]]
     u0, y0 = splits[0].block
     sigma = splits[0].sigma
-    split = _fold_split(target.n, config.folds, RngStream(config.seed).generator(0))
+    split = np.array_split(
+        RngStream(config.seed).generator(0).permutation(target.n), config.folds
+    )
     loss_target = np.zeros(config.folds)
     loss_source = np.zeros((config.folds, len(sources)))
     for r, hold in enumerate(split):
