@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import os
 import re
 import subprocess
 import sys
@@ -625,10 +626,14 @@ def test_degenerate_inputs(tmp_path, capsys, case):
 def test_module_entry_point(tmp_path):
     paths, _ = make_files(tmp_path, n_sources=1)
     out = tmp_path / "out"
+    # the child imports transfarm from where this process did, which the
+    # pytest config's pythonpath may have put on sys.path alone
+    home = os.path.dirname(os.path.dirname(transfarm.cli.__file__))
+    pythonpath = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "transfarm.cli", "fit", "--target", paths[0],
          "--source", paths[1], "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "fit.csv").is_file()
