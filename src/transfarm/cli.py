@@ -217,28 +217,20 @@ def _c_str(key, raw):
 def _c_rank(key, raw):
     if str(raw).strip().lower() == "auto":
         return None
-    v = _c_int(key, raw)
-    if v < 0:
-        raise UsageError(f"{key} must be 'auto' or a nonnegative integer, got {raw!r}")
-    return v
+    return _c_int(key, raw)
 
 
 def _c_mode(key, raw):
-    v = str(raw).strip().lower()
-    if v not in ("farm", "lasso"):
-        raise UsageError(f"{key} must be 'farm' or 'lasso', got {raw!r}")
-    return v
+    return str(raw).strip().lower()
 
 
 def _c_threshold(key, raw):
+    # TransferConfig.eps0: None is the 2L0 rule
     v = str(raw).strip()
     if v == "2L0":
-        return ("2L0", 0.0)
+        return None
     if v.startswith("eps0:"):
-        eps = _c_float(key, v[len("eps0:"):])
-        if eps < 0:
-            raise UsageError(f"{key}: eps0 must be nonnegative, got {eps}")
-        return ("eps0", eps)
+        return _c_float(key, v[len("eps0:"):])
     raise UsageError(f"{key} must be '2L0' or 'eps0:<real>', got {raw!r}")
 
 
@@ -281,7 +273,8 @@ _SHARED = [
     ("out", ".", _c_str),
     ("threads", os.cpu_count() or 1, _c_positive_int),
 ]
-# pipeline defaults are TransferConfig's, typed as their converters return them
+# pipeline defaults are TransferConfig's, typed as their converters return
+# them; the configs, not the converters, check the values
 _DATA = [
     ("target", None, _c_str),
     ("source", (), _c_str_list),
@@ -289,7 +282,7 @@ _DATA = [
     ("rank", TransferConfig.rank, _c_rank),
     ("lambda_c", TransferConfig.lambda_c, _c_float),
     ("folds", TransferConfig.folds, _c_int),
-    ("threshold", (TransferConfig.threshold, TransferConfig.eps0), _c_threshold),
+    ("threshold", TransferConfig.eps0, _c_threshold),
     ("mode", TransferConfig.mode, _c_mode),
 ]
 _INFER = [
@@ -299,14 +292,14 @@ _INFER = [
     ("studentized", "true", _c_bool),
 ]
 # SimConfig fields that are set from shared flags, not from a sim_ flag
-_SIM_SHARED = ("base_seed", "lambda_c", "folds", "threshold", "eps0")
+_SIM_SHARED = ("base_seed", "lambda_c", "folds", "eps0")
 # keyed by annotation text: simlab postpones annotations, so field.type is a string
 _SIM_CONVERTERS = {
     "int": _c_int,
     "int | None": _c_int,
     "float": _c_float,
     "bool": _c_bool,
-    "tuple[float, ...]": _c_float_list,
+    "tuple[float, ...] | None": _c_float_list,
     "tuple[str, ...]": _c_str_list,
 }
 
@@ -398,6 +391,8 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
 
 
 def _load_datasets(m: dict):
+    # commands build their configs first, so a bad flag value exits 1
+    # before any CSV is read
     if not m["target"]:
         raise UsageError("--target is required")
     x, y, _ = ingest_dataset(m["target"], m["response"])
@@ -418,15 +413,13 @@ def _config(cls, **kwargs):
 
 
 def _pipeline_config(m: dict) -> TransferConfig:
-    rule, eps0 = m["threshold"]
     return _config(
         TransferConfig,
         lambda_c=m["lambda_c"],
         rank=m["rank"],
         mode=m["mode"],
         folds=m["folds"],
-        threshold=rule,
-        eps0=eps0,
+        eps0=m["threshold"],
         seed=m["seed"],
     )
 
@@ -454,40 +447,45 @@ def _write_detection(m: dict, report):
 def _cmd_fit(m: dict) -> int:
     # every --source file is part of the transfer set; pass none for a
     # target-only fit
+    config = _pipeline_config(m)
     target, sources = _load_datasets(m)
     set_a = tuple(range(1, len(sources) + 1))
-    fit = two_step_fit(target, sources, set_a, _pipeline_config(m))
+    fit = two_step_fit(target, sources, set_a, config)
     _write_fit(m, fit)
     return 0
 
 
 def _cmd_detect(m: dict) -> int:
+    config = _pipeline_config(m)
     target, sources = _load_datasets(m)
-    report = detect_sources(target, sources, _pipeline_config(m))
+    report = detect_sources(target, sources, config)
     _write_detection(m, report)
     return 0
 
 
 def _cmd_transfer(m: dict) -> int:
+    config = _pipeline_config(m)
     target, sources = _load_datasets(m)
-    fit, report = detect_and_fit(target, sources, _pipeline_config(m))
+    fit, report = detect_and_fit(target, sources, config)
     _write_fit(m, fit)
     _write_detection(m, report)
     return 0
 
 
 def _cmd_infer(m: dict) -> int:
-    target, sources = _load_datasets(m)
+    config = _pipeline_config(m)
     if not 0.0 < m["alpha"] < 1.0:
         raise UsageError(f"alpha must lie in (0, 1), got {m['alpha']}")
     if m["B"] < 1:
         raise UsageError(f"B must be positive, got {m['B']}")
+    target, sources = _load_datasets(m)
+    # the group range needs the target's p
     if m["group"] is not None and m["group"][-1] >= target.p:
         raise UsageError(f"group indices must lie in [1, {target.p}], got {m['group'][-1] + 1}")
     test, cis, _, _ = full_inference(
         target,
         sources,
-        _pipeline_config(m),
+        config,
         rng=RngStream(m["seed"]),
         group=m["group"],
         alpha=m["alpha"],
@@ -507,7 +505,6 @@ def _cmd_infer(m: dict) -> int:
 
 
 def _cmd_simulate(m: dict) -> int:
-    rule, eps0 = m["threshold"]
     sim = {f.name: m["sim_" + f.name] for f in _SIM_FIELDS}
     a_sizes = sim.pop("a_size")
     configs = [
@@ -518,8 +515,7 @@ def _cmd_simulate(m: dict) -> int:
             base_seed=m["seed"],
             lambda_c=m["lambda_c"],
             folds=m["folds"],
-            threshold=rule,
-            eps0=eps0,
+            eps0=m["threshold"],
         )
         for a_size in a_sizes
     ]

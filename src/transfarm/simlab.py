@@ -57,7 +57,9 @@ class SimConfig:
     passes the true rank to every estimator instead of the
     eigenvalue-ratio choice.  redraw_informative redraws the informative
     subset each replication; otherwise one subset is drawn per
-    experiment.  The stock gamma0 (0.5, 0.5) widens to (0.5,) * rank.
+    experiment.  gamma0 = None is 0.5 per factor, (0.5,) * rank; an
+    explicit gamma0 must have one entry per factor.  eps0 is
+    TransferConfig's detection slack (None for the "2L0" rule).
     """
 
     n0: int = 300
@@ -69,7 +71,7 @@ class SimConfig:
     eta: float = 5.0
     rank: int = 2
     signal: float = 0.5
-    gamma0: tuple[float, ...] = (0.5, 0.5)
+    gamma0: tuple[float, ...] | None = None
     gamma_jitter_informative: float = 0.1
     gamma_jitter_adversarial: float = 0.5
     adversarial_mult: float = 2.0
@@ -81,8 +83,7 @@ class SimConfig:
     roster: tuple[str, ...] = ALL_ESTIMATORS
     lambda_c: float = TransferConfig.lambda_c
     folds: int = TransferConfig.folds
-    threshold: str = TransferConfig.threshold
-    eps0: float = TransferConfig.eps0
+    eps0: float | None = TransferConfig.eps0
     fix_rank: bool = False
     max_rank: int | None = None
     redraw_informative: bool = True
@@ -95,8 +96,6 @@ class SimConfig:
         for f in fields(self):  # annotations are postponed, so f.type is their text
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if not all(math.isfinite(g) for g in self.gamma0):
-            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
         if not 0 <= self.rho < 1:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.s > self.p:
@@ -105,9 +104,10 @@ class SimConfig:
             raise ValueError(
                 f"a_size must lie in [0, {self.k_sources}], got {self.a_size}"
             )
-        if len(self.gamma0) != self.rank and self.gamma0 == (0.5, 0.5):
-            # the stock factor effect follows the configured rank
+        if self.gamma0 is None:
             self.gamma0 = (0.5,) * self.rank
+        if not all(math.isfinite(g) for g in self.gamma0):
+            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
         if len(self.gamma0) != self.rank:
             raise ValueError(
                 f"gamma0 has length {len(self.gamma0)}, expected rank {self.rank}"
@@ -278,7 +278,6 @@ def _transfer_config(config: SimConfig, mode: str, rep: int) -> TransferConfig:
         max_rank=config.max_rank,
         mode=mode,
         folds=config.folds,
-        threshold=config.threshold,
         eps0=config.eps0,
         seed=_detection_seed(config.base_seed, rep),
     )
@@ -326,7 +325,7 @@ def _run_replication(config: SimConfig, rep: int, informative):
                 selected=selected,
             )
         )
-    return rep, rows, truth.informative, failures
+    return rows, truth.informative, failures
 
 
 def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
@@ -335,7 +334,8 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
     Replications are pure functions of (config, replication index), so
     results are identical for any `threads` at a fixed BLAS thread count
     (a different BLAS thread count can move the last bits); rows come
-    back sorted by replication then roster order.  Within a replication
+    back in replication order, as both the pool's map and the serial
+    loop yield them, then roster order.  Within a replication
     each (mode, source set) is fitted once and shared by every estimator
     that pools that set.  At most one worker
     process runs per replication, and a single worker means no pool at
@@ -359,11 +359,10 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
     else:
         outcomes = [_run_replication(config, rep, informative) for rep in reps]
 
-    outcomes.sort(key=lambda t: t[0])
     rows: list[SimRow] = []
     informative_sets: list[tuple[int, ...]] = []
     failures: list[tuple[int, str, str]] = []
-    for _, rep_rows, rep_informative, rep_failures in outcomes:
+    for rep_rows, rep_informative, rep_failures in outcomes:
         rows.extend(rep_rows)
         informative_sets.append(rep_informative)
         failures.extend(rep_failures)

@@ -32,10 +32,6 @@ from transfarm.solver import (
 MODE_FARM = "farm"
 MODE_LASSO = "lasso"
 
-# Threshold rules for detection: slack = 2 * target loss, or eps0 * sigma^2.
-THRESHOLD_TWICE_TARGET = "2L0"
-THRESHOLD_EPS0 = "eps0"
-
 
 @dataclass
 class DatasetSplit:
@@ -109,11 +105,12 @@ class TransferConfig:
 
     mode "lasso" forces factor rank 0 everywhere, turning the pipeline
     into plain pooled-Lasso transfer on the raw design.  rank = None
-    selects each dataset's rank by the eigenvalue-ratio rule.  threshold
-    "2L0" adds twice the target-only loss to the detection cutoff;
-    "eps0" adds eps0 * sigma_hat^2 instead.  Every Lasso runs at the
-    penalty lambda_c * sigma_hat * sqrt(2 log p / N), N its row count,
-    and at the solver's defaults; a source is named by its 1-based position.
+    selects each dataset's rank by the eigenvalue-ratio rule.  eps0 = None
+    adds twice the target-only loss to the detection cutoff (the "2L0"
+    rule); a number eps0 >= 0 adds eps0 * sigma_hat^2 instead.  Every
+    Lasso runs at the penalty lambda_c * sigma_hat * sqrt(2 log p / N), N
+    its row count, and at the solver's defaults; a source is named by its
+    1-based position.
     """
 
     lambda_c: float = DEFAULT_LAMBDA_C
@@ -121,23 +118,20 @@ class TransferConfig:
     max_rank: int | None = None
     mode: str = MODE_FARM
     folds: int = 3
-    threshold: str = THRESHOLD_TWICE_TARGET
-    eps0: float = 0.0
+    eps0: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (MODE_FARM, MODE_LASSO):
             raise ValueError(f"mode must be '{MODE_FARM}' or '{MODE_LASSO}', got {self.mode!r}")
-        if self.threshold not in (THRESHOLD_TWICE_TARGET, THRESHOLD_EPS0):
-            raise ValueError(
-                f"threshold must be '{THRESHOLD_TWICE_TARGET}' or '{THRESHOLD_EPS0}',"
-                f" got {self.threshold!r}"
-            )
         for name in ("lambda_c", "eps0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.threshold == THRESHOLD_EPS0 and self.eps0 < 0:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.eps0 is not None and self.eps0 < 0:
             raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
+        if self.rank is not None and self.rank < 0:
+            raise ValueError(f"rank must be nonnegative, got {self.rank}")
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.lambda_c < 0:
@@ -308,7 +302,8 @@ def detect_sources(
     a target-only Lasso and one pooled Lasso per source are fit on the
     remaining folds, and both are scored on the held-out fold.  Source k
     is selected when its averaged loss is at most the target-only loss
-    plus the threshold slack.
+    L0 plus the slack: 2 * L0 when config.eps0 is None, else
+    config.eps0 * sigma_hat^2.
 
     The solves run source-major: the target fits of folds 0, 1, ...
     first, then the pooled fits of source 1 over the folds, then source
@@ -376,10 +371,7 @@ def detect_sources(
 
     target_loss = float(losses[:, 0].mean())
     per_source = losses[:, 1:].mean(axis=0)
-    if config.threshold == THRESHOLD_TWICE_TARGET:
-        slack = 2.0 * target_loss
-    else:
-        slack = config.eps0 * sigma * sigma
+    slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
     cutoff = target_loss + slack
     selected = tuple(k + 1 for k in range(k_total) if per_source[k] <= cutoff)
     return DetectionReport(

@@ -307,6 +307,21 @@ def test_transfer_writes_fit_and_detection(tmp_path):
     assert (out / "fit.csv").is_file() and (out / "detection.csv").is_file()
 
 
+def test_mode_and_threshold_reach_the_library(tmp_path):
+    # --mode is case-blind; --threshold eps0:<v> is TransferConfig(eps0=v)
+    paths, datasets = make_files(tmp_path, seed=4)
+    out = tmp_path / "out"
+    rc = main([
+        "detect", "--target", paths[0], "--source", paths[1], "--source", paths[2],
+        "--out", str(out), "--mode", "FARM", "--threshold", "eps0:0.5",
+    ])
+    assert rc == 0
+    _, rows = read_rows(out / "detection.csv")
+    report = detect_sources(datasets[0], datasets[1:], TransferConfig(eps0=0.5))
+    assert [float(r[1]) for r in rows] == [report.target_loss, *report.source_losses]
+    assert [r[2] for r in rows[1:]] == ["1" if k in report.selected else "0" for k in (1, 2)]
+
+
 def test_infer_stdout_and_intervals(tmp_path, capsys):
     paths, _ = make_files(tmp_path, n=60)
     out = tmp_path / "out"
@@ -385,7 +400,7 @@ def capture_sim_configs(monkeypatch):
 
 
 def test_every_sim_config_field_reaches_its_flag(tmp_path, monkeypatch):
-    shared = {"a_size", "base_seed", "lambda_c", "folds", "threshold", "eps0"}
+    shared = {"a_size", "base_seed", "lambda_c", "folds", "eps0"}
     assert set(SIM_FLAG_VALUES) | shared == {f.name for f in dataclasses.fields(SimConfig)}
     configs = capture_sim_configs(monkeypatch)
     argv = ["simulate", "--out", str(tmp_path), "--sim-a-size", "0,2", "--seed", "7",
@@ -395,8 +410,7 @@ def test_every_sim_config_field_reaches_its_flag(tmp_path, monkeypatch):
     assert main(argv) == 0
     values = {name: value for name, (_, value) in SIM_FLAG_VALUES.items()}
     assert configs == [
-        SimConfig(**values, a_size=a_size, base_seed=7, lambda_c=0.6, folds=4,
-                  threshold="eps0", eps0=1.5)
+        SimConfig(**values, a_size=a_size, base_seed=7, lambda_c=0.6, folds=4, eps0=1.5)
         for a_size in (0, 2)
     ]
 
@@ -543,13 +557,29 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         ),
         (["simulate", "--seed", "-1"], "base_seed must be at least 0, got -1"),
         (["simulate", "--sim-n0", "5"], "detection with folds = 3 needs n0 >= 6, got n0 = 5"),
+        (["fit", "--target", "{t}", "--mode", "bogus"], "mode must be 'farm' or 'lasso', got 'bogus'"),
+        (["detect", "--target", "{t}", "--rank", "-1"], "rank must be nonnegative, got -1"),
+        (["transfer", "--target", "{t}", "--threshold", "eps0:-1"],
+         "eps0 must be nonnegative, got -1.0"),
+        (["simulate", "--threshold", "eps0:-1"], "eps0 must be nonnegative, got -1.0"),
+        (["simulate", "--sim-rank", "3", "--sim-gamma0", "0.5,0.5"],
+         "gamma0 has length 2, expected rank 3"),
+        # a bad flag value exits before any CSV is read: these targets do not exist
+        *(
+            ([command, "--target", "{t}.missing", "--folds", "1"], "folds must be at least 2")
+            for command in ("fit", "detect", "transfer", "infer")
+        ),
+        (["infer", "--target", "{t}.missing", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
          "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
          "simulate-threads-below-1", "simulate-folds", "simulate-lambda-c",
          "simulate-max-rank", "simulate-nk", "simulate-s-negative", "simulate-rho-1",
          "simulate-gamma0-nan", "fit-seed", "detect-seed", "transfer-seed", "infer-seed",
-         "simulate-seed", "simulate-n0-below-folds"],
+         "simulate-seed", "simulate-n0-below-folds", "fit-mode", "detect-rank",
+         "transfer-eps0", "simulate-eps0", "simulate-gamma0-length", "fit-folds-before-ingest",
+         "detect-folds-before-ingest", "transfer-folds-before-ingest",
+         "infer-folds-before-ingest", "infer-alpha-before-ingest"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)

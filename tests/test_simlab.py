@@ -334,8 +334,7 @@ def test_replication_runner_reports_failures_as_data():
     # such a design, so n0 is set after construction to reach the fit
     bad = tiny_config(s=2, roster=("Trans-FARM",))
     bad.n0 = 5
-    rep, rows, _, failures = _run_replication(bad, 0, None)
-    assert rep == 0
+    rows, _, failures = _run_replication(bad, 0, None)
     assert rows == [] and len(failures) == 1
     assert failures[0][1] == "Trans-FARM"
 
@@ -354,6 +353,9 @@ def test_config_validation():
         tiny_config(a_size=3)
     with pytest.raises(ValueError, match="gamma0"):
         tiny_config(gamma0=(0.5,))
+    # an explicit gamma0 is never widened, even when it is the default value
+    with pytest.raises(ValueError, match="gamma0 has length 2, expected rank 3"):
+        SimConfig(rank=3, gamma0=(0.5, 0.5))
     with pytest.raises(ValueError, match="replications"):
         tiny_config(replications=0)
     with pytest.raises(ValueError, match="unknown estimators"):
@@ -392,7 +394,8 @@ def test_config_validation():
 
 
 def test_stock_gamma0_follows_rank():
-    # the library widens the stock factor effect as `simulate --sim-rank` does
+    # gamma0 = None is 0.5 per factor, as `simulate --sim-rank` alone gives
     assert SimConfig(rank=3).gamma0 == (0.5,) * 3
     assert SimConfig(rank=1).gamma0 == (0.5,)
     assert SimConfig().gamma0 == (0.5, 0.5)
+    assert SimConfig(rank=0).gamma0 == ()

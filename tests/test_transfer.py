@@ -213,11 +213,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(mode="ridge")
     with pytest.raises(ValueError):
-        TransferConfig(threshold="3L0")
-    with pytest.raises(ValueError):
         TransferConfig(folds=1)
-    with pytest.raises(ValueError):
-        TransferConfig(threshold="eps0", eps0=-0.1)
+    with pytest.raises(ValueError, match="eps0 must be nonnegative, got -0.1"):
+        TransferConfig(eps0=-0.1)
+    with pytest.raises(ValueError, match="rank must be nonnegative, got -1"):
+        TransferConfig(rank=-1)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         TransferConfig(seed=-1)
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
@@ -230,7 +230,7 @@ def test_config_rejects_non_finite_values(name):
     for value in (np.nan, np.inf, -np.inf):
         for make in (TransferConfig, SimConfig):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                make(threshold="eps0", **{name: value})
+                make(**{name: value})
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +302,7 @@ def fold_major_detection(target, sources, config):
                 loss_target[r] = loss
     target_loss = float(loss_target.mean())
     per_source = loss_source.mean(axis=0)
-    slack = 2.0 * target_loss if config.threshold == "2L0" else config.eps0 * sigma**2
+    slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma**2
     selected = tuple(
         k + 1 for k in range(len(sources)) if per_source[k] <= target_loss + slack
     )
@@ -321,8 +321,7 @@ def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
         make_dataset(60 + 5 * k, p, beta + shift, seed=501 + 10 * seed + k)
         for k, shift in enumerate([0.0, 0.2, 1.0, 0.0])
     ]
-    config = TransferConfig(mode=mode, threshold="eps0" if seed == 2 else "2L0",
-                            eps0=1.0, seed=seed)
+    config = TransferConfig(mode=mode, eps0=1.0 if seed == 2 else None, seed=seed)
     real = transfarm.transfer.lasso_fit
     calls = []
 
@@ -372,10 +371,19 @@ def test_wild_source_is_dropped_under_zero_slack():
     beta = sparse_beta(20, 2)
     target = make_dataset(80, 20, beta, seed=41)
     wild = make_dataset(80, 20, beta + 10.0, seed=42)
-    config = TransferConfig(rank=1, threshold="eps0", eps0=0.0, seed=3)
+    config = TransferConfig(rank=1, eps0=0.0, seed=3)
     report = detect_sources(target, [wild], config)
     assert report.selected == ()
     assert report.threshold == 0.0
+
+
+def test_eps0_number_sets_the_slack():
+    # eps0 = None is the 2L0 rule; a number is the eps0 * sigma_hat^2 rule
+    beta = sparse_beta(20, 2)
+    target = make_dataset(60, 20, beta, seed=48)
+    source = make_dataset(60, 20, beta + 0.5, seed=49)
+    report = detect_sources(target, [source], TransferConfig(rank=1, eps0=0.5))
+    assert report.threshold == 0.5 * report.sigma_hat * report.sigma_hat
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +395,7 @@ def test_all_excluded_equals_empty_set_run():
     beta = sparse_beta(20, 2)
     target = make_dataset(80, 20, beta, seed=43)
     wild = make_dataset(80, 20, beta + 10.0, seed=44)
-    config = TransferConfig(rank=1, threshold="eps0", eps0=0.0, seed=5)
+    config = TransferConfig(rank=1, eps0=0.0, seed=5)
     fit, report = detect_and_fit(target, [wild], config)
     assert report.selected == ()
     direct = two_step_fit(target, [wild], (), config)
@@ -426,12 +434,10 @@ def transfer_problems(draw):
         shift = draw(st.sampled_from([0.0, 0.3, 1.5]))
         n_k = draw(st.integers(24, 48))
         sources.append(make_dataset(n_k, p, beta + shift, seed=seed + 1 + k))
-    eps0 = draw(st.sampled_from([None, 0.0, 0.5, 2.0]))
     config = TransferConfig(
         rank=draw(st.sampled_from([None, 1])),
         mode=draw(st.sampled_from([MODE_FARM, MODE_LASSO])),
-        threshold="2L0" if eps0 is None else "eps0",
-        eps0=0.0 if eps0 is None else eps0,
+        eps0=draw(st.sampled_from([None, 0.0, 0.5, 2.0])),
         seed=draw(st.integers(0, 100)),
     )
     return target, sources, config
