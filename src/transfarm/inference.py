@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from transfarm.numerics import RngStream, check_matrix, check_vector
+from transfarm.numerics import RngStream, check_indices, check_matrix, check_vector
 from transfarm.solver import PrecisionEstimate, nodewise_precision
 from transfarm.transfer import (
     Dataset,
@@ -80,7 +80,7 @@ def debias(
 def _check_group(group, p: int) -> tuple[int, ...]:
     if group is None:
         return tuple(range(p))
-    out = sorted(set(int(i) for i in group))
+    out = sorted(set(check_indices(group, "group")))
     if not out:
         raise ValueError("group must be nonempty")
     if out[0] < 0 or out[-1] >= p:

@@ -41,6 +41,17 @@ def check_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
+def check_indices(values, name: str = "indices") -> list[int]:
+    """values as Python ints; an entry that is not a Python or numpy
+    integer (a bool, or a float even when integral) raises."""
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} entries must be integers, got {v!r}")
+        out.append(int(v))
+    return out
+
+
 # ======================================================================
 # random streams
 # ======================================================================

@@ -18,7 +18,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
+from transfarm.numerics import (
+    RngStream,
+    check_indices,
+    correlated_normal,
+    toeplitz_correlation,
+)
 from transfarm.transfer import (
     MODE_FARM,
     MODE_LASSO,
@@ -213,7 +218,7 @@ def generate(
     if informative is None:
         informative = _draw_informative(config, rng.generator(1, 0))
     else:
-        informative = tuple(sorted(int(i) for i in informative))
+        informative = tuple(sorted(check_indices(informative, "informative")))
         if len(informative) != config.a_size:
             raise ValueError(
                 f"informative has {len(informative)} entries, expected {config.a_size}"

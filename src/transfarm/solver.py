@@ -9,9 +9,11 @@ common column count and N is the total row count.  Coordinate descent
 runs on the pooled Gram matrix, so a block enters only through its Gram
 piece (Z.T Z, Z.T r, r.T r, rows).  A caller that solves several
 problems sharing a block forms its piece once with `gram_piece` and
-passes it in place of (Z, r); the pieces of a problem are summed in
-block order into a copy of the first, which gives the same bits as
-adding each block's products to zeros.
+passes it in place of (Z, r).  `lasso_fit` sums a problem's pieces in
+block order into one new array and divides it there by N, so no piece
+is ever written to; the sum gives the same bits as adding each block's
+products to zeros.  `sum_pieces` forms a pooled piece from blocks that
+are formed one at a time, holding only the sum and the current piece.
 """
 
 from __future__ import annotations
@@ -324,13 +326,22 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     return delta, objective, sweeps, kkt, converged
 
 
-def _scaled(piece: GramPiece):
-    """(a, qn, r0n) of a piece: each Gram piece divided by its row count,
-    the piece's own arrays divided in place."""
-    a, qn = piece.zz, piece.zr
-    a /= piece.rows
-    qn /= piece.rows
-    return a, qn, piece.rr / piece.rows
+def _scaled(pieces):
+    """(a, qn, r0n) of stacked pieces: each Gram sum divided by the total
+    row count N.  a and qn are new arrays: first + second, then the later
+    pieces added and N divided out in place (a single piece is divided
+    into a new array), so no piece is written to."""
+    first, *rest = pieces
+    n = sum(piece.rows for piece in pieces)
+    if not rest:
+        return first.zz / n, first.zr / n, first.rr / n
+    a, qn = first.zz + rest[0].zz, first.zr + rest[0].zr
+    for piece in rest[1:]:
+        a += piece.zz
+        qn += piece.zr
+    a /= n
+    qn /= n
+    return a, qn, sum(piece.rr for piece in pieces) / n
 
 
 def lasso_fit(
@@ -340,6 +351,9 @@ def lasso_fit(
     warm_start: np.ndarray | None = None,
 ) -> LassoSolution:
     """Coordinate-descent Lasso over stacked blocks.
+
+    The blocks' pieces are summed and divided by N in one new array, so
+    a piece may be shared or read-only.
 
     After a sweep that keeps the sign pattern, primal active-set steps
     (Osborne, Presnell and Turlach 2000) solve the KKT equations on the
@@ -359,7 +373,7 @@ def lasso_fit(
             raise ValueError(
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
-    a, qn, r0n = _scaled(sum_pieces(problem.blocks))
+    a, qn, r0n = _scaled(problem.blocks)
     delta, objective, sweeps, kkt, converged = _fit_gram(
         a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter
     )
@@ -403,7 +417,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
         raise ValueError("z must have at least one row and one column")
     lambda0 = math.sqrt(2.0 * math.log(p) / n)
 
-    a, qn, r0n = _scaled(gram_piece(z, r))
+    a, qn, r0n = _scaled([gram_piece(z, r)])
     sigma = math.sqrt(r0n)
     if sigma == 0.0:
         raise ValueError("response has zero variance")

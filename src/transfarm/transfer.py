@@ -17,10 +17,17 @@ from itertools import chain
 import numpy as np
 
 from transfarm.factor import FactorDecomposition, decompose, residualize
-from transfarm.numerics import ConvergenceError, RngStream, check_matrix, check_vector
+from transfarm.numerics import (
+    ConvergenceError,
+    RngStream,
+    check_indices,
+    check_matrix,
+    check_vector,
+)
 from transfarm.solver import (
     DEFAULT_LAMBDA_C,
     DEFAULT_MAX_ITER,
+    GramPiece,
     LassoProblem,
     gram_piece,
     lasso_fit,
@@ -38,10 +45,20 @@ class DatasetSplit:
     """A dataset's factor split under one rank rule, with y_tilde = y
     purged of the factor span.  sigma, the scaled-Lasso noise scale of the
     split, is fitted on first use; only the target's is ever read.
+
+    pooled is a one-use slot on a target's split.  detect_sources leaves
+    there the splits of the sources it kept, in source order, with the
+    read-only Gram piece of the target plus those sources, summed in the
+    order two_step_fit sums them.  The next two_step_fit on this split
+    clears the slot, and pools that piece only if its own sources are
+    exactly those split objects in that order.
     """
 
     decomposition: FactorDecomposition
     y_tilde: np.ndarray
+    pooled: tuple[tuple[DatasetSplit, ...], GramPiece] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
@@ -52,6 +69,15 @@ class DatasetSplit:
     def sigma(self) -> float:
         # One noise scale, estimated on the target alone, feeds every penalty.
         return scaled_lasso(*self.block).sigma
+
+    def take_pooled(self, sources: list[DatasetSplit]) -> GramPiece | None:
+        """Clear the slot; its piece if it was summed over exactly these
+        source splits, in this order, else None."""
+        slot, self.pooled = self.pooled, None
+        # both lists hold their splits, so equal ids are the same objects
+        if slot is not None and list(map(id, slot[0])) == list(map(id, sources)):
+            return slot[1]
+        return None
 
 
 @dataclass
@@ -232,11 +258,14 @@ def two_step_fit(
     around that coefficient with its own penalty.  An empty source_set
     collapses to the single-dataset estimator.  Results do not depend on
     the order in which source_set is given.  The target's Gram piece is
-    formed once for both steps; each source's piece is added to the
-    pooled sum as it is formed and then dropped.
+    formed once for both steps.  The pooled step takes the sum that
+    detect_sources left on the target's split when detection kept
+    exactly these sources (DatasetSplit.pooled, cleared here either way);
+    otherwise each source's piece is added to the pooled sum as it is
+    formed and then dropped.  Both ways give the same bits.
     """
     config = config or TransferConfig()
-    chosen = sorted(set(int(k) for k in source_set))
+    chosen = sorted(set(check_indices(source_set, "source_set")))
     if chosen and (chosen[0] < 1 or chosen[-1] > len(sources)):
         raise ValueError(
             f"source_set must be within 1..{len(sources)}, got {chosen}"
@@ -245,9 +274,11 @@ def two_step_fit(
     splits = _splits(target, sources, (0, *chosen), config)
     sigma = splits[0].sigma
     target_piece = gram_piece(*splits[0].block)
-    pooled_piece = sum_pieces(
-        chain([target_piece], (gram_piece(*splits[k].block) for k in chosen))
-    )
+    pooled_piece = splits[0].take_pooled([splits[k] for k in chosen])
+    if pooled_piece is None:
+        pooled_piece = sum_pieces(
+            chain([target_piece], (gram_piece(*splits[k].block) for k in chosen))
+        )
     pooled, lam_pooled = _lasso([pooled_piece], sigma, config, "transferring step")
     del pooled_piece
     correction, lam_corr = _lasso(
@@ -309,13 +340,19 @@ def detect_sources(
     first, then the pooled fits of source 1 over the folds, then source
     2, and so on.  Each fold's training Gram piece is formed once and
     each source's piece is formed when its turn comes and dropped after
-    its folds.  A fit on fold r starts from the same dataset's fit on
-    fold r - 1, and source k's fit on fold 0 from dataset k - 1's fit on
-    fold 0 (the target's for k = 1), so only the target's fold 0 starts
-    cold.  A fit that ends on the solver's exact finish returns the
-    KKT point of its support and signs whatever its start, so the start
-    changes how many sweeps find that point, not the point; a fit that
-    stops on the sweep rule instead can move within the solver tolerance.
+    its folds.  The cutoff is known once the target's folds are scored,
+    so a source whose mean fold loss is within it is added, while its
+    piece is at hand, to a sum that starts from the target's full piece.
+    That sum, the pooled piece of the target plus the kept sources, is
+    left read-only on the target's split (DatasetSplit.pooled) for the
+    two-step fit that follows.  A fit on fold r starts from the same
+    dataset's fit on fold r - 1, and source k's fit on fold 0 from
+    dataset k - 1's fit on fold 0 (the target's for k = 1), so only the
+    target's fold 0 starts cold.  A fit that ends on the solver's exact
+    finish returns the KKT point of its support and signs whatever its
+    start, so the start changes how many sweeps find that point, not the
+    point; a fit that stops on the sweep rule instead can move within the
+    solver tolerance.
     Loop order decides which failure a ConvergenceError names first: a
     target fold before any source, and source k before source k + 1.
 
@@ -356,6 +393,10 @@ def detect_sources(
     # column 0 holds the target-only fits, column k the pooled fits of source k
     losses = np.zeros((config.folds, k_total + 1))
     first = None  # the previous dataset's fold-0 fit
+    # the target's full piece, owned here, so kept sources are added to it in place
+    full = gram_piece(u0, y0)
+    zz, zr, rr, rows = full.zz, full.zr, full.rr, full.rows
+    kept = []
     for k in range(k_total + 1):
         extra = [gram_piece(*splits[k].block)] if k else []
         coef = first
@@ -368,11 +409,22 @@ def detect_sources(
             losses[r, k] = fold_loss(coef, u0, y0, hold)
             if r == 0:
                 first = coef
+        if not k:
+            target_loss = float(losses[:, 0].mean())
+            slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
+            cutoff = target_loss + slack
+        # This mean can differ from per_source's below in the last bit; a
+        # source judged differently at the cutoff only loses the handoff.
+        elif losses[:, k].mean() <= cutoff:
+            zz += extra[0].zz
+            zr += extra[0].zr
+            rr += extra[0].rr
+            rows += extra[0].rows
+            kept.append(splits[k])
+    zz.flags.writeable = zr.flags.writeable = False
+    splits[0].pooled = (tuple(kept), GramPiece(zz, zr, rr, rows))
 
-    target_loss = float(losses[:, 0].mean())
     per_source = losses[:, 1:].mean(axis=0)
-    slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
-    cutoff = target_loss + slack
     selected = tuple(k + 1 for k in range(k_total) if per_source[k] <= cutoff)
     return DetectionReport(
         source_losses=per_source,

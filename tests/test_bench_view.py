@@ -78,3 +78,31 @@ def test_tracer_probes_read_real_results(tmp_path):
     write_dataset(path, z, r)
     result = ingest_dataset(path)
     assert tracer._probe_ingest((path,), {}, result) == {"bytes": os.path.getsize(path)}
+
+
+def test_tracer_files_every_transfer_solve_under_its_stage():
+    # The tracer files a lasso under detection or the two-step fit by its
+    # parent span, so a solve reached around those public functions would
+    # silently drop out of the transfer.* per-layer metrics.
+    tracer = load_tracer()
+    gen = np.random.default_rng(1)
+    beta = np.zeros(8)
+    beta[:2] = 1.0
+
+    def dataset(n):
+        x = gen.standard_normal((n, 8))
+        return transfarm.Dataset(x=x, y=x @ beta + gen.standard_normal(n))
+
+    target, sources = dataset(30), [dataset(24), dataset(24)]
+    config = transfarm.TransferConfig(rank=0, seed=2)
+    with tracer.Tracer() as t:
+        transfarm.detect_and_fit(target, sources, config)
+    parents = [
+        t.spans[s.parent].name if s.parent >= 0 else None
+        for s in t.spans
+        if s.name == "solver.lasso_fit"
+    ]
+    assert sorted(parents) == sorted(
+        ["transfer.detect_sources"] * (config.folds * (len(sources) + 1))
+        + ["transfer.two_step_fit"] * 2
+    )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ def test_bootstrap_matches_gaussian_max_oracle():
     ref = gaussian_max_quantile(20, 0.95)
     ours = empirical_quantile(draws, 0.95)
     assert abs(ours - ref) < 0.05 * ref
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.7, 2.0, np.float64(2.0), True, np.bool_(False)])
+def test_bootstrap_group_rejects_non_integral_entries(bad):
+    u, _, _ = instance(20, 4, 16)
+    message = re.escape(f"group entries must be integers, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        multiplier_bootstrap(u, np.eye(4), 1.0, RngStream(0), draws=10, group=(1, bad))
+    # numpy integers are integers
+    draws = multiplier_bootstrap(u, np.eye(4), 1.0, RngStream(0), draws=10, group=(1, 2))
+    by_numpy = multiplier_bootstrap(
+        u, np.eye(4), 1.0, RngStream(0), draws=10, group=np.array([1, 2])
+    )
+    assert np.array_equal(draws, by_numpy)
 
 
 def test_bootstrap_group_restriction_never_exceeds_full():

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo generator and experiment runner."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,18 @@ def test_informative_override_is_respected_and_checked():
         generate(cfg, RngStream(0, 0, (0, 0)), informative=(0, 2))
     with pytest.raises(ValueError):
         generate(cfg, RngStream(0, 0, (0, 0)), informative=(2, 4))
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, np.float64(3.0), True, np.bool_(True)])
+def test_informative_override_rejects_non_integral_entries(bad):
+    cfg = tiny_config(k_sources=3, a_size=2)
+    message = re.escape(f"informative entries must be integers, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        generate(cfg, RngStream(0, 0, (0, 0)), informative=(bad, 2))
+    # numpy integers are integers
+    _, _, truth = generate(cfg, RngStream(0, 0, (0, 0)), informative=np.array([3, 1]))
+    assert truth.informative == (1, 3)
+    assert all(type(k) is int for k in truth.informative)
 
 
 def test_target_idiosyncratic_covariance_is_toeplitz():

@@ -208,7 +208,13 @@ def accumulated_into_zeros(blocks):
     return h / n, q / n, rss / n
 
 
-@pytest.mark.parametrize("count", [1, 2, 11])
+def read_only(piece):
+    piece = GramPiece(piece.zz.copy(), piece.zr.copy(), piece.rr, piece.rows)
+    piece.zz.flags.writeable = piece.zr.flags.writeable = False
+    return piece
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 11])
 def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
     gen = np.random.default_rng(40 + count)
     p = 15
@@ -225,7 +231,9 @@ def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
         coef, objective, _, kkt, _ = _fit_gram(
             a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER
         )
-        for given_blocks in (blocks, pieces, [sum_pieces(pieces)]):
+        # read-only pieces, as detection hands them on, give the same bits
+        shared = [read_only(piece) for piece in pieces]
+        for given_blocks in (blocks, pieces, shared, [sum_pieces(pieces)]):
             sol = lasso_fit(LassoProblem(given_blocks, 0.05, offset=offset))
             assert sol.coef.tobytes() == coef.tobytes()
             assert sol.objective == objective

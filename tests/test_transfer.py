@@ -1,5 +1,8 @@
 """Two-step transfer estimator and source detection."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,14 @@ import transfarm.transfer
 from transfarm.factor import decompose, residualize
 from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
 from transfarm.simlab import SimConfig
-from transfarm.solver import LassoProblem, lasso_fit, penalty_level, scaled_lasso
+from transfarm.solver import (
+    LassoProblem,
+    gram_piece,
+    lasso_fit,
+    penalty_level,
+    scaled_lasso,
+    sum_pieces,
+)
 from transfarm.transfer import (
     MODE_FARM,
     MODE_LASSO,
@@ -170,7 +180,9 @@ def test_one_dataset_at_two_positions(monkeypatch):
         assert a.source_set == b.source_set
     assert np.array_equal(report.source_losses, report_c.source_losses)
     assert report.target_loss == report_c.target_loss
-    assert report.selected == report_c.selected
+    assert report.selected == report_c.selected == (1, 2)
+    # detection's pooled sum adds the one split at both positions
+    assert_same_fit(dfit, fit)
 
 
 def test_lasso_mode_matches_scratch_pooled_lasso():
@@ -207,6 +219,20 @@ def test_source_set_validation():
     narrow = Dataset(x=np.ones((40, 9)), y=np.zeros(40))
     with pytest.raises(ValueError):
         two_step_fit(target, [narrow], (1,), TransferConfig(rank=1))
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(1.0), True, np.bool_(True), "1"])
+def test_source_set_rejects_non_integral_entries(bad):
+    beta = sparse_beta(10, 2)
+    target = make_dataset(40, 10, beta, seed=32)
+    sources = [make_dataset(40, 10, beta, seed=33)]
+    config = TransferConfig(rank=1)
+    message = re.escape(f"source_set entries must be integers, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        two_step_fit(target, sources, (bad,), config)
+    # numpy integers are integers
+    by_numpy = two_step_fit(target, sources, (np.int64(1),), config)
+    assert np.array_equal(by_numpy.coef, two_step_fit(target, sources, (1,), config).coef)
 
 
 def test_config_validation():
@@ -391,6 +417,19 @@ def test_eps0_number_sets_the_slack():
 # ----------------------------------------------------------------------
 
 
+def fresh(datasets):
+    """Copies that share no memoised split (and so no pooled sum) with datasets."""
+    return [Dataset(x=d.x.copy(), y=d.y.copy()) for d in datasets]
+
+
+def assert_same_fit(a, b):
+    for name in ("pooled_coef", "correction_coef", "coef"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert (a.source_set, a.lambda_pooled, a.lambda_correction) == (
+        b.source_set, b.lambda_pooled, b.lambda_correction
+    )
+
+
 def test_all_excluded_equals_empty_set_run():
     beta = sparse_beta(20, 2)
     target = make_dataset(80, 20, beta, seed=43)
@@ -401,6 +440,92 @@ def test_all_excluded_equals_empty_set_run():
     direct = two_step_fit(target, [wild], (), config)
     assert np.array_equal(fit.coef, direct.coef)
     assert np.array_equal(fit.pooled_coef, direct.pooled_coef)
+    new_target, new_wild = fresh([target, wild])
+    assert_same_fit(fit, two_step_fit(new_target, [new_wild], (), config))
+
+
+def kept_subset_problem():
+    """Target and three sources; source 2 is wild, so detection at zero
+    slack keeps sources 1 and 3."""
+    beta = sparse_beta(20, 2)
+    target = make_dataset(80, 20, beta, seed=50)
+    sources = [
+        make_dataset(80, 20, beta, seed=51),
+        make_dataset(80, 20, beta + 10.0, seed=52),
+        make_dataset(80, 20, beta, seed=53),
+    ]
+    return target, sources, TransferConfig(rank=1, eps0=0.0, seed=7)
+
+
+def count_pieces(monkeypatch):
+    """The design of every Gram piece transfer forms, in call order."""
+    real = transfarm.transfer.gram_piece
+    designs = []
+
+    def counted(z, *args, **kwargs):
+        designs.append(z)
+        return real(z, *args, **kwargs)
+
+    monkeypatch.setattr(transfarm.transfer, "gram_piece", counted)
+    return designs
+
+
+def test_kept_subset_equals_a_fresh_subset_run(monkeypatch):
+    target, sources, config = kept_subset_problem()
+    designs = count_pieces(monkeypatch)
+    fit, report = detect_and_fit(target, sources, config)
+    assert report.selected == (1, 3)
+    # detection: the folds' training pieces, the target's full piece and each
+    # source's piece; the fit: only the target's piece, for its correction step
+    blocks = [d.split(config).decomposition.idiosyncratic for d in [target, *sources]]
+    assert len(designs) == config.folds + 1 + len(sources) + 1
+    assert [sum(z is b for z in designs) for b in blocks] == [2, 1, 1, 1]
+    new_target, *new_sources = fresh([target, *sources])
+    assert_same_fit(fit, two_step_fit(new_target, new_sources, (1, 3), config))
+
+
+def test_pooled_sum_serves_one_fit_of_its_own_sources(monkeypatch):
+    target, sources, config = kept_subset_problem()
+    s1, s2, s3 = sources
+    new_target, *new_sources = fresh([target, *sources])
+    expected = two_step_fit(new_target, new_sources, (1, 3), config)
+
+    # the slot holds the kept splits and their pooled sum, read-only
+    detect_sources(target, sources, config)
+    t0, t1, _, t3 = (d.split(config) for d in [target, *sources])
+    kept, piece = t0.pooled
+    assert len(kept) == 2 and kept[0] is t1 and kept[1] is t3
+    want = sum_pieces(gram_piece(*t.block) for t in (t0, t1, t3))
+    assert piece.zz.tobytes() == want.zz.tobytes() and piece.zr.tobytes() == want.zr.tobytes()
+    assert (piece.rr, piece.rows) == (want.rr, want.rows)
+    assert not (piece.zz.flags.writeable or piece.zr.flags.writeable)
+
+    designs = count_pieces(monkeypatch)
+
+    def fit_pieces(*args):
+        designs.clear()
+        fit = two_step_fit(*args)
+        return fit, len(designs)
+
+    # permuted, the chosen splits come in another order than the kept ones:
+    # the fit sums its own pieces, and still clears the slot
+    fit, formed = fit_pieces(target, [s3, s2, s1], (1, 3), config)
+    assert formed == 3
+    assert target.split(config).pooled is None
+    assert np.max(np.abs(fit.coef - expected.coef)) <= 1e-12 * np.max(np.abs(expected.coef))
+
+    # a fit under another rank reads the slot of another split
+    detect_sources(target, sources, config)
+    _, formed = fit_pieces(target, sources, (1, 3), replace(config, rank=2))
+    assert formed == 3
+    fit, formed = fit_pieces(target, sources, (1, 3), config)
+    assert formed == 1
+    assert_same_fit(fit, expected)
+
+    # the first fit cleared the slot, so a second one sums its own pieces
+    fit, formed = fit_pieces(target, sources, (1, 3), config)
+    assert formed == 3
+    assert_same_fit(fit, expected)
 
 
 def test_all_kept_equals_full_set_run():
@@ -415,6 +540,8 @@ def test_all_kept_equals_full_set_run():
     assert report.selected == (1, 2)
     direct = two_step_fit(target, clones, (1, 2), config)
     assert np.array_equal(fit.coef, direct.coef)
+    new_target, *new_clones = fresh([target, *clones])
+    assert_same_fit(fit, two_step_fit(new_target, new_clones, (1, 2), config))
 
 
 # ----------------------------------------------------------------------
