@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from transfarm.inference import full_inference
-from transfarm.numerics import RngStream
+from transfarm.numerics import RngStream, check_matrix, check_vector
 from transfarm.simlab import SimConfig, run_experiment
 from transfarm.transfer import (
     Dataset,
@@ -158,6 +158,8 @@ def _write_csv(path: str, header: list[str], rows):
 def write_dataset(path: str, x: np.ndarray, y: np.ndarray, response: str = "y",
                   feature_names: list[str] | None = None):
     """Emit a dataset as a header CSV that ingest_dataset reads back."""
+    x = check_matrix(x, "x")
+    y = check_vector(y, "y")
     if y.size != x.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.size}")
     if feature_names is None:

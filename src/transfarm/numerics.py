@@ -7,7 +7,8 @@ place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,12 +42,33 @@ def check_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _is_integer(value) -> bool:
+    # a bool is not an integer here, nor is a float, even when integral
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_fields(config) -> None:
+    """Check each field of the dataclass config against its annotation,
+    which must be postponed so that it is text: a float must be finite and
+    an int a Python or numpy integer, either may be None when annotated
+    "| None".  The ValueError names the first field that fails."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        if kind == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        if kind == "int" and not _is_integer(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 def check_indices(values, name: str = "indices") -> list[int]:
     """values as Python ints; an entry that is not a Python or numpy
     integer (a bool, or a float even when integral) raises."""
     out = []
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_integer(v):
             raise ValueError(f"{name} entries must be integers, got {v!r}")
         out.append(int(v))
     return out

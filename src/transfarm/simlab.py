@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from transfarm.numerics import (
     RngStream,
+    check_fields,
     check_indices,
     correlated_normal,
     toeplitz_correlation,
@@ -94,13 +95,11 @@ class SimConfig:
     redraw_informative: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         for name, low in (("n0", 2), ("nk", 2), ("p", 1), ("s", 0), ("k_sources", 0),
                           ("rank", 0), ("base_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        for f in fields(self):  # annotations are postponed, so f.type is their text
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not 0 <= self.rho < 1:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.s > self.p:

@@ -9,11 +9,11 @@ common column count and N is the total row count.  Coordinate descent
 runs on the pooled Gram matrix, so a block enters only through its Gram
 piece (Z.T Z, Z.T r, r.T r, rows).  A caller that solves several
 problems sharing a block forms its piece once with `gram_piece` and
-passes it in place of (Z, r).  `lasso_fit` sums a problem's pieces in
-block order into one new array and divides it there by N, so no piece
-is ever written to; the sum gives the same bits as adding each block's
-products to zeros.  `sum_pieces` forms a pooled piece from blocks that
-are formed one at a time, holding only the sum and the current piece.
+passes it in place of (Z, r).  `sum_pieces` is the one place pieces are
+added: in block order, into new arrays, so no piece is ever written to,
+and with the same bits as adding each block's products to zeros.
+`lasso_fit` divides that sum by N, and a pooled piece summed over blocks
+formed one at a time holds only the sum and the current piece.
 """
 
 from __future__ import annotations
@@ -74,18 +74,25 @@ def gram_piece(z: np.ndarray, r: np.ndarray, name: str = "block") -> GramPiece:
 
 
 def sum_pieces(pieces) -> GramPiece:
-    """The piece of the stacked blocks: a copy of the first piece plus
-    each later one in order.  pieces may be a generator, so a sum over
-    blocks formed one at a time holds only the sum and the current piece.
+    """The piece of the stacked blocks: a single piece as it is, else the
+    first two added into new arrays and each later one added to those in
+    place.  pieces may be a generator, so a sum over blocks formed one at
+    a time holds only the sum and the current piece.
     """
     pieces = iter(pieces)
     first = next(pieces)
-    zz, zr, rr, rows = first.zz.copy(), first.zr.copy(), first.rr, first.rows
+    second = next(pieces, None)
+    if second is None:
+        return first
+    zz, zr = first.zz + second.zz, first.zr + second.zr
+    rr, rows = first.rr + second.rr, first.rows + second.rows
+    del first, second
     for piece in pieces:
         zz += piece.zz
         zr += piece.zr
         rr += piece.rr
         rows += piece.rows
+        del piece  # before the next piece is formed
     return GramPiece(zz, zr, rr, rows)
 
 
@@ -327,21 +334,17 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
 
 
 def _scaled(pieces):
-    """(a, qn, r0n) of stacked pieces: each Gram sum divided by the total
-    row count N.  a and qn are new arrays: first + second, then the later
-    pieces added and N divided out in place (a single piece is divided
-    into a new array), so no piece is written to."""
-    first, *rest = pieces
-    n = sum(piece.rows for piece in pieces)
-    if not rest:
-        return first.zz / n, first.zr / n, first.rr / n
-    a, qn = first.zz + rest[0].zz, first.zr + rest[0].zr
-    for piece in rest[1:]:
-        a += piece.zz
-        qn += piece.zr
+    """(a, qn, r0n) of stacked pieces: their `sum_pieces` divided by the
+    total row count N.  A single piece is divided into new arrays and a
+    fresh sum in place, so no piece is written to."""
+    total = sum_pieces(pieces)
+    n = total.rows
+    if total is pieces[0]:
+        return total.zz / n, total.zr / n, total.rr / n
+    a, qn = total.zz, total.zr
     a /= n
     qn /= n
-    return a, qn, sum(piece.rr for piece in pieces) / n
+    return a, qn, total.rr / n
 
 
 def lasso_fit(
@@ -352,8 +355,8 @@ def lasso_fit(
 ) -> LassoSolution:
     """Coordinate-descent Lasso over stacked blocks.
 
-    The blocks' pieces are summed and divided by N in one new array, so
-    a piece may be shared or read-only.
+    The blocks' pieces are summed by `sum_pieces` and divided by N in new
+    arrays, so a piece may be shared or read-only.
 
     After a sweep that keeps the sign pattern, primal active-set steps
     (Osborne, Presnell and Turlach 2000) solve the KKT equations on the

@@ -9,7 +9,6 @@ keeps those within a threshold of the target-only fit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -20,6 +19,7 @@ from transfarm.factor import FactorDecomposition, decompose, residualize
 from transfarm.numerics import (
     ConvergenceError,
     RngStream,
+    check_fields,
     check_indices,
     check_matrix,
     check_vector,
@@ -47,9 +47,9 @@ class DatasetSplit:
     split, is fitted on first use; only the target's is ever read.
 
     pooled is a one-use slot on a target's split.  detect_sources leaves
-    there the splits of the sources it kept, in source order, with the
-    read-only Gram piece of the target plus those sources, summed in the
-    order two_step_fit sums them.  The next two_step_fit on this split
+    there the splits of the sources it selected, in source order, with
+    the read-only Gram piece of the target plus those sources, summed in
+    the order two_step_fit sums them.  The next two_step_fit on this split
     clears the slot, and pools that piece only if its own sources are
     exactly those split objects in that order.
     """
@@ -148,12 +148,9 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.mode not in (MODE_FARM, MODE_LASSO):
             raise ValueError(f"mode must be '{MODE_FARM}' or '{MODE_LASSO}', got {self.mode!r}")
-        for name in ("lambda_c", "eps0"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.eps0 is not None and self.eps0 < 0:
             raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
         if self.rank is not None and self.rank < 0:
@@ -297,31 +294,6 @@ def two_step_fit(
     )
 
 
-def fold_loss(
-    coef: np.ndarray,
-    u: np.ndarray,
-    y_tilde: np.ndarray,
-    fold: np.ndarray,
-) -> float:
-    """Mean squared residual of y_tilde - u @ coef over the fold rows."""
-    coef = check_vector(coef, "coef")
-    u = check_matrix(u, "u")
-    y_tilde = check_vector(y_tilde, "y_tilde")
-    if y_tilde.size != u.shape[0]:
-        raise ValueError(f"y_tilde has length {y_tilde.size}, u has {u.shape[0]} rows")
-    if coef.size != u.shape[1]:
-        raise ValueError(f"coef has length {coef.size}, u has {u.shape[1]} columns")
-    fold = np.asarray(fold, dtype=np.int64)
-    if fold.ndim != 1 or fold.size == 0:
-        raise ValueError("fold must be a nonempty 1-d index array")
-    if fold.min() < 0 or fold.max() >= u.shape[0]:
-        raise ValueError(
-            f"fold indices must lie in [0, {u.shape[0] - 1}]"
-        )
-    resid = y_tilde[fold] - u[fold] @ coef
-    return float(resid @ resid) / fold.size
-
-
 def detect_sources(
     target: Dataset,
     sources: list[Dataset],
@@ -331,19 +303,23 @@ def detect_sources(
 
     Every dataset's factor split is taken up front.  For each fold,
     a target-only Lasso and one pooled Lasso per source are fit on the
-    remaining folds, and both are scored on the held-out fold.  Source k
-    is selected when its averaged loss is at most the target-only loss
-    L0 plus the slack: 2 * L0 when config.eps0 is None, else
-    config.eps0 * sigma_hat^2.
+    remaining folds, and both are scored in place on the held-out rows
+    of the target's split block.  Source k is decided once, by the mean
+    of its own fold losses, which is its reported loss: it is selected
+    when that is at most the target-only loss L0 plus the slack, 2 * L0
+    when config.eps0 is None, else config.eps0 * sigma_hat^2.  A
+    column's mean does not depend on the other sources; from 8 folds on
+    it can differ in the last bit from an axis-0 mean of the table,
+    which numpy sums row by row, not pairwise.
 
     The solves run source-major: the target fits of folds 0, 1, ...
     first, then the pooled fits of source 1 over the folds, then source
     2, and so on.  Each fold's training Gram piece is formed once and
     each source's piece is formed when its turn comes and dropped after
     its folds.  The cutoff is known once the target's folds are scored,
-    so a source whose mean fold loss is within it is added, while its
-    piece is at hand, to a sum that starts from the target's full piece.
-    That sum, the pooled piece of the target plus the kept sources, is
+    so a selected source's piece is added with `sum_pieces`, while it is
+    at hand, to a sum that starts from the target's full piece.  That
+    sum, the pooled piece of the target plus the selected sources, is
     left read-only on the target's split (DatasetSplit.pooled) for the
     two-step fit that follows.  A fit on fold r starts from the same
     dataset's fit on fold r - 1, and source k's fit on fold 0 from
@@ -393,10 +369,9 @@ def detect_sources(
     # column 0 holds the target-only fits, column k the pooled fits of source k
     losses = np.zeros((config.folds, k_total + 1))
     first = None  # the previous dataset's fold-0 fit
-    # the target's full piece, owned here, so kept sources are added to it in place
-    full = gram_piece(u0, y0)
-    zz, zr, rr, rows = full.zz, full.zr, full.rr, full.rows
-    kept = []
+    pooled = gram_piece(u0, y0)
+    per_source = np.zeros(k_total)
+    selected = []
     for k in range(k_total + 1):
         extra = [gram_piece(*splits[k].block)] if k else []
         coef = first
@@ -406,31 +381,27 @@ def detect_sources(
                 else f"detection target fit on fold {r}"
             )
             coef, _ = _lasso([fold_pieces[r], *extra], sigma, config, what, warm_start=coef)
-            losses[r, k] = fold_loss(coef, u0, y0, hold)
+            resid = y0[hold] - u0[hold] @ coef
+            losses[r, k] = float(resid @ resid) / hold.size
             if r == 0:
                 first = coef
         if not k:
             target_loss = float(losses[:, 0].mean())
             slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
             cutoff = target_loss + slack
-        # This mean can differ from per_source's below in the last bit; a
-        # source judged differently at the cutoff only loses the handoff.
-        elif losses[:, k].mean() <= cutoff:
-            zz += extra[0].zz
-            zr += extra[0].zr
-            rr += extra[0].rr
-            rows += extra[0].rows
-            kept.append(splits[k])
-    zz.flags.writeable = zr.flags.writeable = False
-    splits[0].pooled = (tuple(kept), GramPiece(zz, zr, rr, rows))
+            continue
+        per_source[k - 1] = losses[:, k].mean()
+        if per_source[k - 1] <= cutoff:
+            pooled = sum_pieces([pooled, extra[0]])
+            selected.append(k)
+    pooled.zz.flags.writeable = pooled.zr.flags.writeable = False
+    splits[0].pooled = (tuple(splits[k] for k in selected), pooled)
 
-    per_source = losses[:, 1:].mean(axis=0)
-    selected = tuple(k + 1 for k in range(k_total) if per_source[k] <= cutoff)
     return DetectionReport(
         source_losses=per_source,
         target_loss=target_loss,
         threshold=slack,
-        selected=selected,
+        selected=tuple(selected),
         folds=config.folds,
         seed=config.seed,
         sigma_hat=sigma,

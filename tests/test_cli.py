@@ -96,6 +96,24 @@ def test_write_dataset_rejects_mismatched_shapes(tmp_path, rows, names, message)
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (np.array([[1.0, np.nan]]), np.ones(1), "x contains non-finite entries"),
+        (np.ones((2, 2)), np.array([1.0, np.inf]), "y contains non-finite entries"),
+        (np.ones(3), np.ones(3), r"x must be 2-dimensional, got shape \(3,\)"),
+        (np.ones((3, 1)), np.ones((3, 1)), r"y must be 1-dimensional, got shape \(3, 1\)"),
+    ],
+    ids=["x-nan", "y-inf", "x-1d", "y-2d"],
+)
+def test_write_dataset_rejects_bad_arrays(tmp_path, x, y, message):
+    # a non-finite cell would write a file ingest_dataset refuses
+    path = tmp_path / "d.csv"
+    with pytest.raises(ValueError, match=message):
+        write_dataset(str(path), x, y)
+    assert not path.exists()
+
+
 def test_writer_files_take_the_fast_path(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("row loop ran on a write_dataset file")

@@ -400,6 +400,12 @@ def test_config_validation():
     for name in ("Trans-FARM", "Trans-Lasso"):
         with pytest.raises(ValueError, match="folds = 3 needs n0 >= 6, got n0 = 5"):
             tiny_config(n0=5, s=2, roster=("only-FARM", name))
+    # a non-integer would fail inside a replication, unnamed; a bool would pass
+    for name, value in [("p", 50.5), ("replications", 1.5), ("k_sources", 2.0), ("n0", True),
+                        ("folds", 2.5), ("max_rank", 2.0), ("base_seed", "1")]:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            tiny_config(**{name: value})
+    assert tiny_config(p=np.int64(30), max_rank=np.int32(3)).p == 30
     assert tiny_config(n0=5, s=2, roster=ALL_ESTIMATORS, folds=2).n0 == 5
     assert tiny_config(n0=2, s=2, roster=("only-FARM", "Pooled-Trans-Lasso")).n0 == 2
     assert tiny_config(s=0, rho=0.0).s == 0

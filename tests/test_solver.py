@@ -1,6 +1,7 @@
 """Penalized solvers against brute-force references."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from transfarm.solver import (
     LassoProblem,
     _active_set_finish,
     _fit_gram,
+    _scaled,
     _support_point,
     gram_piece,
     lasso_fit,
@@ -227,6 +229,31 @@ def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
     pieces = [gram_piece(z, r) for z, r in blocks]
     kept = [(piece.zz.copy(), piece.zr.copy()) for piece in pieces]
     a, qn, r0n = accumulated_into_zeros(blocks)
+    # the scaled sum is the in-order accumulation, rss / n included
+    got_a, got_qn, got_r0n = _scaled(pieces)
+    assert got_a.tobytes() == a.tobytes() and got_qn.tobytes() == qn.tobytes()
+    assert got_r0n == r0n
+    # a generator of pieces sums to the bits of a list of them; one piece is
+    # returned as it is
+    listed, streamed = sum_pieces(pieces), sum_pieces(iter(pieces))
+    assert listed.zz.tobytes() == streamed.zz.tobytes()
+    assert listed.zr.tobytes() == streamed.zr.tobytes()
+    assert (listed.rr, listed.rows) == (streamed.rr, streamed.rows)
+    assert (listed is pieces[0]) == (count == 1)
+    # a streamed sum forms each piece after the third with no earlier one alive
+    alive = []
+
+    def formed(i):
+        z, r = blocks[i]
+        if i > 1:
+            alive.append(sum(ref() is not None for ref in refs))
+        piece = gram_piece(z, r)
+        refs.append(weakref.ref(piece))
+        return piece
+
+    refs = []
+    assert sum_pieces(formed(i) for i in range(count)).zz.tobytes() == listed.zz.tobytes()
+    assert alive == [0] * max(count - 2, 0)
     for offset in (None, np.linspace(-0.2, 0.2, p)):
         coef, objective, _, kkt, _ = _fit_gram(
             a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER

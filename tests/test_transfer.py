@@ -29,7 +29,6 @@ from transfarm.transfer import (
     TransferConfig,
     detect_and_fit,
     detect_sources,
-    fold_loss,
     two_step_fit,
 )
 
@@ -50,59 +49,6 @@ def sparse_beta(p, s, value=0.5):
     beta = np.zeros(p)
     beta[:s] = value
     return beta
-
-
-# ----------------------------------------------------------------------
-# fold_loss
-# ----------------------------------------------------------------------
-
-
-def test_fold_loss_zero_coef():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    u = np.ones((4, 2))
-    fold = np.array([1, 3])
-    assert fold_loss(np.zeros(2), u, y, fold) == (4.0 + 16.0) / 2.0
-
-
-def test_fold_loss_perfect_fit():
-    gen = np.random.default_rng(0)
-    u = gen.standard_normal((10, 3))
-    w = np.array([1.0, -2.0, 0.5])
-    assert fold_loss(w, u, u @ w, np.arange(10)) < 1e-24
-
-
-def test_fold_loss_matches_direct_sum():
-    gen = np.random.default_rng(1)
-    u = gen.standard_normal((12, 4))
-    y = gen.standard_normal(12)
-    w = gen.standard_normal(4)
-    fold = np.array([0, 5, 7])
-    direct = float(np.mean((y[fold] - u[fold] @ w) ** 2))
-    assert abs(fold_loss(w, u, y, fold) - direct) < 1e-12
-
-
-def test_fold_loss_validates_indices():
-    u = np.ones((5, 2))
-    y = np.ones(5)
-    with pytest.raises(ValueError):
-        fold_loss(np.zeros(2), u, y, np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        fold_loss(np.zeros(2), u, y, np.array([5]))
-
-
-@pytest.mark.parametrize(
-    "coef,y,message",
-    [
-        (np.zeros(2), np.ones(4), "y_tilde has length 4, u has 5 rows"),
-        (np.zeros(2), np.ones(6), "y_tilde has length 6, u has 5 rows"),
-        (np.zeros(3), np.ones(5), "coef has length 3, u has 2 columns"),
-    ],
-    ids=["short-y", "long-y", "long-coef"],
-)
-def test_fold_loss_rejects_mismatched_shapes(coef, y, message):
-    # a longer y_tilde would score rows that do not belong together
-    with pytest.raises(ValueError, match=message):
-        fold_loss(coef, np.ones((5, 2)), y, np.arange(3))
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +192,12 @@ def test_config_validation():
         TransferConfig(rank=-1)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         TransferConfig(seed=-1)
+    # a non-integer would fail late, unnamed; a bool would pass as 0 or 1
+    for name, value in [("rank", 1.5), ("rank", True), ("folds", 2.5), ("folds", 3.0),
+                        ("max_rank", 2.5), ("seed", 1.5), ("seed", "1")]:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            TransferConfig(**{name: value})
+    assert TransferConfig(rank=np.int64(1), folds=np.int32(4), seed=np.uint8(2)).folds == 4
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
 
 
@@ -321,13 +273,16 @@ def fold_major_detection(target, sources, config):
             blocks = [fold, s.block] if k else [fold]
             n = sum(z.shape[0] for z, _ in blocks)
             lam = penalty_level(sigma, target.p, n, config.lambda_c)
-            loss = fold_loss(lasso_fit(LassoProblem(blocks, lam)).coef, u0, y0, hold)
+            resid = y0[hold] - u0[hold] @ lasso_fit(LassoProblem(blocks, lam)).coef
+            loss = float(resid @ resid) / hold.size
             if k:
                 loss_source[r, k - 1] = loss
             else:
                 loss_target[r] = loss
     target_loss = float(loss_target.mean())
-    per_source = loss_source.mean(axis=0)
+    # each source's own column: from 8 folds on, numpy sums a column
+    # pairwise but an axis-0 mean row by row, which can differ in the last bit
+    per_source = np.array([column.mean() for column in loss_source.T])
     slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma**2
     selected = tuple(
         k + 1 for k in range(len(sources)) if per_source[k] <= target_loss + slack
@@ -336,8 +291,10 @@ def fold_major_detection(target, sources, config):
 
 
 @pytest.mark.parametrize("mode", [MODE_FARM, MODE_LASSO])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
+@pytest.mark.parametrize(
+    "seed, folds", [(0, 3), (1, 3), (2, 3), (3, 10)], ids=["0", "1", "2", "3-folds10"]
+)
+def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed, folds):
     # source-major order with warm-started folds and shared Gram pieces
     # must reach the same losses, bit for bit, with one solve per fit
     p = 30
@@ -347,7 +304,7 @@ def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
         make_dataset(60 + 5 * k, p, beta + shift, seed=501 + 10 * seed + k)
         for k, shift in enumerate([0.0, 0.2, 1.0, 0.0])
     ]
-    config = TransferConfig(mode=mode, eps0=1.0 if seed == 2 else None, seed=seed)
+    config = TransferConfig(mode=mode, eps0=1.0 if seed == 2 else None, folds=folds, seed=seed)
     real = transfarm.transfer.lasso_fit
     calls = []
 
@@ -371,6 +328,18 @@ def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed):
     assert report.selected == selected
     assert np.array_equal(report.margins, target_loss + report.threshold - per_source)
     assert report.selected == tuple(k + 1 for k in range(k_total) if report.margins[k] >= 0)
+
+    # the fit that follows pools the sum detection left: it forms only the
+    # target's piece, for its correction step
+    designs = count_pieces(monkeypatch)
+    two_step_fit(target, sources, report.selected, config)
+    assert len(designs) == 1
+
+    # a source's loss is the mean of its own fold losses, the same bits
+    # whatever other sources are scored beside it
+    for k in range(k_total):
+        alone = detect_sources(target, [sources[k]], config).source_losses[0]
+        assert alone == report.source_losses[k] == report.fold_source_losses[:, k].mean()
 
 
 def test_detection_needs_enough_rows():
