@@ -514,6 +514,7 @@ def nodewise_precision(
 
     gram = u.T @ u / n
     diag = np.diagonal(gram).copy()
+    diag_l = diag.tolist()
     # stopping thresholds of problem j, scaled by its response RMS as in _fit_gram
     caps = tol * np.where(diag > 0.0, np.sqrt(diag), 1.0)
     # Row j of coef holds gamma for problem j (zero at its own coordinate).
@@ -528,20 +529,20 @@ def nodewise_precision(
     tried = np.zeros(p, dtype=bool)  # problem j's sign pattern failed its exact finish
     sweeps = 0
     while live.size and sweeps < max_iter:
-        m = live.size
         slot = np.full(p, -1)
-        slot[live] = np.arange(m)
+        slot[live] = np.arange(live.size)
+        slot = slot.tolist()
         hi = lambdas[live]
         lo = -hi
         cap = caps[live]
-        moves = np.zeros(m)
-        signs = np.sign(gam)
+        start = gam.copy()
+        cols = gram[:, live]  # cols[k] is gram[k, live], read whole on each visit
         for k in range(p):
-            gkk = diag[k]
+            gkk = diag_l[k]
             if gkk <= 0.0:
                 continue
             old = gam[:, k]
-            c = gram[k, live] - fit[:, k] + gkk * old
+            c = cols[k] - fit[:, k] + gkk * old
             new = (c - np.minimum(np.maximum(c, lo), hi)) / gkk
             if slot[k] >= 0:
                 new[slot[k]] = 0.0  # problem k does not regress on itself
@@ -549,22 +550,32 @@ def nodewise_precision(
             rows = step.nonzero()[0]
             if rows.size:
                 gam[:, k] = new
-                fit[rows] += step[rows, None] * gram[k]
-                np.maximum(moves, np.abs(step), out=moves)
+                # a visit reads only its own column of fit, and the fresh
+                # product below overwrites the rest: update the unvisited ones
+                fit[rows, k + 1 :] += step[rows, None] * gram[k, k + 1 :]
         sweeps += 1
+        del cols
+        # each coordinate moves once per sweep, so the net change of a row
+        # holds its moves
+        net = gam - start
+        moves = np.abs(net, out=net).max(axis=1)
         # problems whose nonempty sign pattern survived the sweep, and has
         # not failed its finish yet, take the active-set steps below
-        stable = (np.sign(gam) == signs).all(axis=1)
+        stable = (np.sign(gam, out=net) == np.sign(start, out=start)).all(axis=1)
         tried[live[~stable]] = False
         finish = np.flatnonzero(stable & ~tried[live] & gam.any(axis=1))
         tried[live[finish]] = True
-        del signs, stable  # free them before g below
+        del net, start, stable  # free them before g below
         np.matmul(gam, gram, out=fit)  # fresh product keeps incremental drift out of the tests below
-        g = gram[live]
-        g -= fit
-        g[np.arange(m), live] = 0.0  # coordinate j is not a variable of problem j
-        done = (moves <= cap) & (_kkt_violation(g, gam, hi[:, None]) <= cap)
-        del g  # free it before the filtering below makes its own copies
+        # done needs both tests, so the KKT test runs only on rows whose move passed
+        done = moves <= cap
+        test = np.flatnonzero(done)
+        if test.size:
+            g = gram[live[test]]
+            g -= fit[test]
+            g[np.arange(test.size), live[test]] = 0.0  # coordinate j is not a variable of problem j
+            done[test] = _kkt_violation(g, gam[test], hi[test, None]) <= cap[test]
+            del g  # free it before the filtering below makes its own copies
         for c in finish.tolist():
             j = live[c]
             own = diag > 0.0
