@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from transfarm.numerics import RngStream, check_indices, check_matrix, check_vector
+from transfarm.numerics import RngStream, check_count, check_indices, check_matrix, check_vector
 from transfarm.solver import PrecisionEstimate, nodewise_precision
 from transfarm.transfer import (
     Dataset,
@@ -102,8 +102,10 @@ def multiplier_bootstrap(
     Draw l is max_i |sigma_hat * (theta u.T e_l)_i| / sqrt(n) with e_l a
     standard normal vector from substream l, rows optionally scaled by
     1 / sqrt(theta_ii) first.  Distinct substreams make the draws
-    independent of evaluation order.
+    independent of evaluation order.  draws must be an integer of at
+    least 1.
     """
+    draws = check_count(draws, "draws", 1)
     u = check_matrix(u, "u")
     tm = _theta_matrix(theta)
     n, p = u.shape
@@ -111,8 +113,6 @@ def multiplier_bootstrap(
         raise ValueError(f"theta has shape {tm.shape}, expected ({p}, {p})")
     if sigma_hat < 0 or not np.isfinite(sigma_hat):
         raise ValueError(f"sigma_hat must be finite and nonnegative, got {sigma_hat}")
-    if draws < 1:
-        raise ValueError(f"draws must be positive, got {draws}")
     g = _check_group(group, p)
     rows = tm[list(g), :]
     if studentized:

@@ -63,6 +63,15 @@ def check_fields(config) -> None:
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
+def check_count(value, name: str, minimum: int = 0) -> int:
+    """value as a Python int; a value that is not a Python or numpy
+    integer (a bool, or a float even when integral), or is below minimum,
+    raises a ValueError naming it."""
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def check_indices(values, name: str = "indices") -> list[int]:
     """values as Python ints; an entry that is not a Python or numpy
     integer (a bool, or a float even when integral) raises."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import ConvergenceError, check_matrix, check_vector
+from transfarm.numerics import ConvergenceError, check_count, check_matrix, check_vector
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
@@ -140,6 +140,14 @@ class LassoSolution:
     iterations: int
     kkt_violation: float
     converged: bool
+
+
+def _check_controls(tol, max_iter) -> None:
+    """Reject a stopping tolerance that is not finite and positive, and a
+    sweep cap that is not a nonnegative integer, before any sweep runs."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_count(max_iter, "max_iter")
 
 
 def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
@@ -368,8 +376,10 @@ def lasso_fit(
     largest coefficient move in a sweep and the KKT violation both fall
     below that bound.
     Hitting max_iter returns the last iterate flagged converged=False
-    rather than raising.
+    rather than raising.  tol must be finite and positive and max_iter a
+    nonnegative integer.
     """
+    _check_controls(tol, max_iter)
     if warm_start is not None:
         warm_start = check_vector(warm_start, "warm_start")
         if warm_start.size != problem.p:
@@ -476,7 +486,9 @@ def nodewise_precision(
     """Nodewise-Lasso precision estimate of (u.T u / n)^(-1).
 
     lambda_node = None uses the uniform rule c * sqrt(log p / n); a
-    scalar applies to every row and a length-p vector sets each row.
+    scalar applies to every row and a length-p vector sets each row (a
+    bool is refused).  tol must be finite and positive and max_iter a
+    nonnegative integer.
 
     Row j is the Lasso of column j on the other columns, with Gram
     pieces taken from G = u.T u / n (van de Geer, Buhlmann, Ritov and
@@ -484,20 +496,28 @@ def nodewise_precision(
     loop solves them together: the visit to coordinate k updates every
     live problem j != k at once, in the coordinate order of `_fit_gram`,
     skipping zero-variance coordinates, with a fresh G @ gamma after
-    every sweep.  A problem whose nonempty sign pattern survives a sweep
-    takes the active-set steps of `_active_set_finish` on base G[j], with
-    coordinate j not a variable, and so ends where a solve of its own
-    ends: on the first support point that keeps its signs with a KKT
-    violation of at most tol * sqrt(G[j, j]).  When a step cannot be
-    taken, the pattern is not tried again until a sweep changes it, and
-    the problem passes when its largest coefficient move and its KKT
-    violation are both at most that cap.  Rows are kept by problem: a
+    every sweep.  A visit reads only its own column of G @ gamma, so it
+    adds its update only to the columns after k, which the sweep has not
+    visited yet; the fresh product replaces the rest.  A problem whose
+    nonempty sign pattern survives a sweep takes the active-set steps of
+    `_active_set_finish` on base G[j], with coordinate j not a variable,
+    and so ends where a solve of its own ends: on the first support point
+    that keeps its signs with a KKT violation of at most
+    tol * sqrt(G[j, j]).  When a step cannot be taken, the pattern is not
+    tried again until a sweep changes it, and the problem passes when its
+    largest coefficient move and its KKT violation are both at most that
+    cap.  A sweep visits each coordinate once, so a problem's moves are
+    its net change over the sweep, and the KKT test runs only on problems
+    whose move passed.  Rows are kept by problem: a
     problem that passes is frozen, its gamma goes straight to row j of
     the result, and the sweeps go on over the live problems' rows in
     index order.  Failures are reported for the lowest failing row:
     ConvergenceError when it used up max_iter sweeps, ValueError when its
     residual variance is degenerate.
     """
+    _check_controls(tol, max_iter)
+    if isinstance(lambda_node, (bool, np.bool_)):
+        raise ValueError(f"lambda_node must be a number or a vector, got {lambda_node!r}")
     u = check_matrix(u, "u")
     n, p = u.shape
     if n < 2 or p < 1:

@@ -145,6 +145,14 @@ def test_bootstrap_validation():
         multiplier_bootstrap(u, -np.eye(3), 1.0, RngStream(0), studentized=True)
 
 
+@pytest.mark.parametrize("draws", [2.5, True, 0, -3, 500.0])
+def test_bootstrap_rejects_draws_that_are_not_a_positive_integer(draws):
+    # 2.5 and True raised numpy TypeErrors from inside the draw loop
+    u, _, _ = instance(10, 3, 15)
+    with pytest.raises(ValueError, match=re.escape(f"draws must be an integer of at least 1, got {draws!r}")):
+        multiplier_bootstrap(u, np.eye(3), 1.0, RngStream(0), draws=draws)
+
+
 # ----------------------------------------------------------------------
 # empirical quantile
 # ----------------------------------------------------------------------

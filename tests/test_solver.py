@@ -1,8 +1,11 @@
 """Penalized solvers against brute-force references."""
 
+import contextlib
 import math
+import re
 import weakref
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
 from transfarm import solver
 from transfarm.numerics import ConvergenceError, RngStream
 from transfarm.simlab import SimConfig, generate
+from transfarm.transfer import TransferConfig
 from transfarm.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -182,6 +186,42 @@ def test_iteration_cap_flags_not_raises():
     sol = lasso_fit(LassoProblem([(z, r)], lam=1e-6), max_iter=1)
     assert not sol.converged
     assert sol.iterations == 1
+
+
+BAD_CONTROLS = [
+    ({"tol": np.nan}, "tol must be finite and positive, got nan"),
+    ({"tol": -1.0}, "tol must be finite and positive, got -1.0"),
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer of at least 0, got 2.5"),
+    ({"max_iter": True}, "max_iter must be an integer of at least 0, got True"),
+    ({"max_iter": -1}, "max_iter must be an integer of at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("kw, message", BAD_CONTROLS, ids=lambda v: str(v) if isinstance(v, dict) else "")
+@pytest.mark.parametrize("entry", ["lasso_fit", "nodewise_precision"])
+def test_bad_iteration_controls_are_rejected_before_any_work(monkeypatch, entry, kw, message):
+    # a NaN or negative tol ran every sweep, and max_iter=2.5 ran 3 sweeps
+    def untouched(*args, **kwargs):
+        raise AssertionError("work started before the controls were checked")
+
+    u = np.random.default_rng(30).standard_normal((20, 4))
+    problem = LassoProblem([(u[:, 1:], u[:, 0])], lam=0.1)
+    monkeypatch.setattr(solver, "_scaled", untouched)
+    monkeypatch.setattr(solver, "check_matrix", untouched)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if entry == "lasso_fit":
+            lasso_fit(problem, **kw)
+        else:
+            nodewise_precision(u, **kw)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_nodewise_rejects_a_bool_penalty(flag):
+    # True fitted every row at penalty 1.0
+    u = np.random.default_rng(31).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="lambda_node must be a number or a vector, got (np.)?True"):
+        nodewise_precision(u, lambda_node=flag)
 
 
 def test_problem_validation():
@@ -861,15 +901,22 @@ def test_nodewise_single_column():
 
 
 @st.composite
-def coupled_designs(draw):
+def coupled_designs(draw, degenerate=False):
+    """(u, per-row lambdas).  degenerate designs may repeat column 0 in
+    column 1 and spread lambda over three decades, so that within one
+    sweep some rows pass their move cap and others do not."""
     p = draw(st.integers(1, 8))
     n = draw(st.integers(2 * p + 6, 40))
     seed = draw(st.integers(0, 2**32 - 1))
     coupling = draw(st.floats(0.0, 0.8))
-    lambdas = draw(st.lists(st.floats(0.01, 0.4), min_size=p, max_size=p))
+    low = 0.001 if degenerate else 0.01
+    high = 1.0 if degenerate else 0.4
+    lambdas = draw(st.lists(st.floats(low, high), min_size=p, max_size=p))
     gen = np.random.default_rng(seed)
     # one shared column couples every nodewise problem to the others
     u = gen.standard_normal((n, p)) + coupling * gen.standard_normal((n, 1))
+    if degenerate and p > 1 and draw(st.booleans()):
+        u[:, 1] = u[:, 0]
     return u, np.array(lambdas)
 
 
@@ -888,6 +935,131 @@ def test_nodewise_matches_row_by_row_oracle(design):
         others = np.arange(p) != j
         alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], float(lambdas[j])))
         assert_allclose(-est.theta[j, others] * est.tau_sq[j], alone.coef, atol=1e-10)
+
+
+def batched_reference(u, lambdas, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The batched nodewise loop as it was before a sweep pushed updates
+    only to unvisited columns, took moves from the net change and ran the
+    KKT test only on rows whose move passed: (theta, tau_sq), raising as
+    nodewise_precision does.  It is the same algorithm, kept verbatim so
+    that the rewrite can be checked byte for byte."""
+    n, p = u.shape
+    gram = u.T @ u / n
+    diag = np.diagonal(gram).copy()
+    caps = tol * np.where(diag > 0.0, np.sqrt(diag), 1.0)
+    coef = np.zeros((p, p))
+    live = np.arange(p)
+    gam = np.zeros((p, p))
+    fit = np.zeros((p, p))
+    tau_sq = np.zeros(p)
+    converged = np.zeros(p, dtype=bool)
+    tried = np.zeros(p, dtype=bool)
+    sweeps = 0
+    while live.size and sweeps < max_iter:
+        m = live.size
+        slot = np.full(p, -1)
+        slot[live] = np.arange(m)
+        hi = lambdas[live]
+        lo = -hi
+        cap = caps[live]
+        moves = np.zeros(m)
+        signs = np.sign(gam)
+        for k in range(p):
+            gkk = diag[k]
+            if gkk <= 0.0:
+                continue
+            old = gam[:, k]
+            c = gram[k, live] - fit[:, k] + gkk * old
+            new = (c - np.minimum(np.maximum(c, lo), hi)) / gkk
+            if slot[k] >= 0:
+                new[slot[k]] = 0.0
+            step = new - old
+            rows = step.nonzero()[0]
+            if rows.size:
+                gam[:, k] = new
+                fit[rows] += step[rows, None] * gram[k]
+                np.maximum(moves, np.abs(step), out=moves)
+        sweeps += 1
+        stable = (np.sign(gam) == signs).all(axis=1)
+        tried[live[~stable]] = False
+        finish = np.flatnonzero(stable & ~tried[live] & gam.any(axis=1))
+        tried[live[finish]] = True
+        del signs, stable
+        np.matmul(gam, gram, out=fit)
+        g = gram[live]
+        g -= fit
+        g[np.arange(m), live] = 0.0
+        done = (moves <= cap) & (solver._kkt_violation(g, gam, hi[:, None]) <= cap)
+        del g
+        for c in finish.tolist():
+            j = live[c]
+            own = diag > 0.0
+            own[j] = False
+            step = solver._active_set_finish(gram, gram[j], gram[j], hi[c], None, own, gam[c], cap[c])
+            if step is not None:
+                row = step[0]
+                support = np.flatnonzero(row)
+                gam[c], fit[c], done[c] = row, row[support] @ gram[support], True
+        if done.any():
+            finished = live[done]
+            tau_sq[finished] = diag[finished] - fit[done, finished]
+            converged[finished] = True
+            coef[finished] = gam[done]
+            gam, fit, live = gam[~done], fit[~done], live[~done]
+
+    bad = ~converged | (tau_sq <= solver.TAU_SQ_FLOOR)
+    if bad.any():
+        j = int(np.argmax(bad))
+        if not converged[j]:
+            raise ConvergenceError(f"nodewise regression {j} hit {max_iter} sweeps")
+        raise ValueError(
+            f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
+        )
+    theta = coef
+    theta /= -tau_sq[:, None]
+    np.fill_diagonal(theta, 1.0 / tau_sq)
+    return theta, tau_sq
+
+
+def outcome(fn):
+    """The bytes of (theta, tau_sq), or the type and text of the error."""
+    try:
+        theta, tau_sq = fn()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return theta.tobytes(), tau_sq.tobytes()
+
+
+def assert_same_as_batched_reference(u, lambdas, **kw):
+    def current():
+        est = nodewise_precision(u, lambda_node=lambdas, **kw)
+        return est.theta, est.tau_sq
+
+    assert outcome(current) == outcome(lambda: batched_reference(u, lambdas, **kw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled_designs(degenerate=True), st.sampled_from([1, 2, 3, DEFAULT_MAX_ITER]), st.booleans())
+def test_nodewise_sweep_is_bitwise_the_batched_reference(design, max_iter, finish):
+    # a sweep updates only the columns of fit that later visits read,
+    # takes each row's move from its net change and KKT-tests only rows
+    # whose move passed; none of it may move a bit.  Most rows end on the
+    # finish, so with it turned off every row ends on the move and KKT tests
+    u, lambdas = design
+    with contextlib.ExitStack() as stack:
+        if not finish:
+            stack.enter_context(mock.patch.object(solver, "_active_set_finish", lambda *args: None))
+        assert_same_as_batched_reference(u, lambdas, max_iter=max_iter)
+
+
+def test_nodewise_sweep_is_bitwise_the_batched_reference_at_inference_scale():
+    # a target split of the infer-cli design, n = p = 300, at the
+    # default penalty: 8-9 sweeps, with live rows falling from 300 to 1
+    design = SimConfig(n0=300, nk=300, p=300, k_sources=4, a_size=2)
+    target, _, _ = generate(design, RngStream(100))
+    u, _ = target.split(TransferConfig()).block
+    lambdas = np.full(300, solver.DEFAULT_LAMBDA_C * math.sqrt(math.log(300) / 300))
+    assert_same_as_batched_reference(u, lambdas)
 
 
 def test_nodewise_rows_take_the_active_set_steps():
