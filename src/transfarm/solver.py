@@ -590,12 +590,11 @@ def nodewise_precision(
         # done needs both tests, so the KKT test runs only on rows whose move passed
         done = moves <= cap
         test = np.flatnonzero(done)
-        if test.size:
-            g = gram[live[test]]
-            g -= fit[test]
-            g[np.arange(test.size), live[test]] = 0.0  # coordinate j is not a variable of problem j
-            done[test] = _kkt_violation(g, gam[test], hi[test, None]) <= cap[test]
-            del g  # free it before the filtering below makes its own copies
+        g = gram[live[test]]
+        g -= fit[test]
+        g[np.arange(test.size), live[test]] = 0.0  # coordinate j is not a variable of problem j
+        done[test] = _kkt_violation(g, gam[test], hi[test, None]) <= cap[test]
+        del g  # free it before the filtering below makes its own copies
         for c in finish.tolist():
             j = live[c]
             own = diag > 0.0
