@@ -233,8 +233,10 @@ def full_inference(
 
     Returns (adequacy result, interval result, fit, detection report).
     The same multiplier substreams feed the test and the intervals, so
-    both views come from one bootstrap sample.
+    both views come from one bootstrap sample.  draws is checked before
+    any fit.
     """
+    draws = check_count(draws, "draws", 1)
     config = config or TransferConfig()
     rng = rng or RngStream(config.seed)
     if sources:

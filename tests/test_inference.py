@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import transfarm.factor
+import transfarm.inference
 from _oracles import gaussian_max_quantile
 from transfarm.inference import (
     adequacy_test,
@@ -335,6 +336,18 @@ def test_full_inference_without_sources():
     assert test.reject is True  # strong signal
     assert cis.reject is None
     assert len(cis.group) == 12
+
+
+def test_full_inference_rejects_bad_draws_before_any_fit(monkeypatch):
+    # draws=2.5 ran detection, the fit and the nodewise precision first
+    def untouched(*args, **kwargs):
+        raise AssertionError("a fit ran before draws was checked")
+
+    monkeypatch.setattr(transfarm.inference, "two_step_fit", untouched)
+    monkeypatch.setattr(transfarm.inference, "detect_and_fit", untouched)
+    x = np.random.default_rng(38).standard_normal((30, 4))
+    with pytest.raises(ValueError, match="draws must be an integer of at least 1, got 2.5"):
+        full_inference(Dataset(x=x, y=x[:, 0]), [Dataset(x=x, y=x[:, 1])], draws=2.5)
 
 
 def assert_bitwise_equal(a, b):
