@@ -17,7 +17,6 @@ from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
 from transfarm import solver
 from transfarm.numerics import ConvergenceError, RngStream
 from transfarm.simlab import SimConfig, generate
-from transfarm.transfer import TransferConfig
 from transfarm.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -34,6 +33,7 @@ from transfarm.solver import (
     scaled_lasso,
     sum_pieces,
 )
+from transfarm.transfer import TransferConfig
 
 
 def sparse_instance(n, p, s, seed, noise=1.0, beta_value=1.0):
@@ -198,7 +198,11 @@ BAD_CONTROLS = [
 ]
 
 
-@pytest.mark.parametrize("kw, message", BAD_CONTROLS, ids=lambda v: str(v) if isinstance(v, dict) else "")
+@pytest.mark.parametrize(
+    "kw, message",
+    BAD_CONTROLS,
+    ids=["tol-nan", "tol-negative", "tol-zero", "max_iter-float", "max_iter-bool", "max_iter-negative"],
+)
 @pytest.mark.parametrize("entry", ["lasso_fit", "nodewise_precision"])
 def test_bad_iteration_controls_are_rejected_before_any_work(monkeypatch, entry, kw, message):
     # a NaN or negative tol ran every sweep, and max_iter=2.5 ran 3 sweeps
