@@ -51,7 +51,8 @@ def ingest_dataset(path: str, response: str = "y"):
     refuses the file, or its array fails a check (_load_table), the row
     loop (_read_rows) reads the file again: it takes every float()
     spelling and reports precise cell coordinates on parse failures
-    (data rows count from 1).
+    (data rows count from 1).  A leading byte-order mark, as Excel's
+    "CSV UTF-8" export writes, is dropped from the first header cell.
     """
     if not os.path.isfile(path):
         raise UsageError(f"input file not found: {path}")
@@ -61,6 +62,8 @@ def ingest_dataset(path: str, response: str = "y"):
             header = next(reader)
         except StopIteration:
             raise UsageError(f"{path}: file is empty") from None
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
         header = [h.strip() for h in header]
         hits = [i for i, h in enumerate(header) if h == response]
         if not hits:
@@ -354,6 +357,8 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     out: dict[str, str] = {}
     with _decoding(path), open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
+            if line_no == 1:
+                line = line.removeprefix("\ufeff")  # a byte-order mark
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from transfarm.numerics import RngStream, check_count, check_indices, check_matrix, check_vector
-from transfarm.solver import PrecisionEstimate, nodewise_precision
+from transfarm.solver import nodewise_precision
 from transfarm.transfer import (
     Dataset,
     DetectionReport,
@@ -48,33 +48,27 @@ class InferenceResult:
     reject: bool | None
     lower: np.ndarray
     upper: np.ndarray
-    theta: PrecisionEstimate | np.ndarray = field(repr=False, default=None)
-
-
-def _theta_matrix(theta) -> np.ndarray:
-    if isinstance(theta, PrecisionEstimate):
-        return theta.theta
-    return check_matrix(theta, "theta")
+    theta: np.ndarray = field(repr=False, default=None)
 
 
 def debias(
     coef: np.ndarray,
     u: np.ndarray,
     y_tilde: np.ndarray,
-    theta,
+    theta: np.ndarray,
 ) -> np.ndarray:
     """One-step correction coef + theta @ u.T @ (y_tilde - u @ coef) / n."""
     coef = check_vector(coef, "coef")
     u = check_matrix(u, "u")
     y_tilde = check_vector(y_tilde, "y_tilde")
-    tm = _theta_matrix(theta)
+    theta = check_matrix(theta, "theta")
     n, p = u.shape
-    if coef.size != p or y_tilde.size != n or tm.shape != (p, p):
+    if coef.size != p or y_tilde.size != n or theta.shape != (p, p):
         raise ValueError(
-            f"shape mismatch: u {u.shape}, coef {coef.size}, y {y_tilde.size}, theta {tm.shape}"
+            f"shape mismatch: u {u.shape}, coef {coef.size}, y {y_tilde.size}, theta {theta.shape}"
         )
     resid = y_tilde - u @ coef
-    return coef + tm @ (u.T @ resid) / n
+    return coef + theta @ (u.T @ resid) / n
 
 
 def _check_group(group, p: int) -> tuple[int, ...]:
@@ -90,7 +84,7 @@ def _check_group(group, p: int) -> tuple[int, ...]:
 
 def multiplier_bootstrap(
     u: np.ndarray,
-    theta,
+    theta: np.ndarray,
     sigma_hat: float,
     rng: RngStream,
     draws: int = 500,
@@ -107,16 +101,16 @@ def multiplier_bootstrap(
     """
     draws = check_count(draws, "draws", 1)
     u = check_matrix(u, "u")
-    tm = _theta_matrix(theta)
+    theta = check_matrix(theta, "theta")
     n, p = u.shape
-    if tm.shape != (p, p):
-        raise ValueError(f"theta has shape {tm.shape}, expected ({p}, {p})")
+    if theta.shape != (p, p):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({p}, {p})")
     if sigma_hat < 0 or not np.isfinite(sigma_hat):
         raise ValueError(f"sigma_hat must be finite and nonnegative, got {sigma_hat}")
     g = _check_group(group, p)
-    rows = tm[list(g), :]
+    rows = theta[list(g), :]
     if studentized:
-        diag = np.diagonal(tm)[list(g)]
+        diag = np.diagonal(theta)[list(g)]
         if np.any(diag <= 0):
             raise ValueError("studentized draws need positive theta diagonal")
         rows = rows / np.sqrt(diag)[:, None]
@@ -150,7 +144,7 @@ def adequacy_test(
     coef: np.ndarray,
     u: np.ndarray,
     y_tilde: np.ndarray,
-    theta,
+    theta: np.ndarray,
     sigma_hat: float,
     rng: RngStream,
     alpha: float = 0.05,
@@ -174,7 +168,7 @@ def simultaneous_cis(
     coef: np.ndarray,
     u: np.ndarray,
     y_tilde: np.ndarray,
-    theta,
+    theta: np.ndarray,
     sigma_hat: float,
     rng: RngStream,
     group: tuple[int, ...] | None = None,
@@ -189,6 +183,7 @@ def simultaneous_cis(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    theta = check_matrix(theta, "theta")
     n, p = u.shape
     g = _check_group(group, p)
     beta_tilde = debias(coef, u, y_tilde, theta)
@@ -198,7 +193,7 @@ def simultaneous_cis(
     crit = empirical_quantile(sample, 1.0 - alpha)
     centers = beta_tilde[list(g)]
     if studentized:
-        diag = np.diagonal(_theta_matrix(theta))[list(g)]
+        diag = np.diagonal(theta)[list(g)]
         half = np.sqrt(diag) * crit / math.sqrt(n)
     else:
         half = np.full(len(g), crit / math.sqrt(n))
@@ -245,7 +240,7 @@ def full_inference(
         fit = two_step_fit(target, sources, (), config)
         report = None
     u0, y0 = target.split(config).block
-    theta = nodewise_precision(u0, lambda_c=config.lambda_c)
+    theta = nodewise_precision(u0, lambda_c=config.lambda_c).theta
     boot = rng.substream(17)
     test = adequacy_test(
         fit.coef, u0, y0, theta, fit.sigma_hat, boot, alpha=alpha, draws=draws

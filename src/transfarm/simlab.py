@@ -20,6 +20,7 @@ import numpy as np
 
 from transfarm.numerics import (
     RngStream,
+    check_count,
     check_fields,
     check_indices,
     correlated_normal,
@@ -344,10 +345,9 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SimResult:
     that pools that set.  At most one worker
     process runs per replication, and a single worker means no pool at
     all.  More than FAILURE_BUDGET of estimator runs failing aborts with
-    the recorded messages.
+    the recorded messages.  threads must be an integer of at least 1.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = check_count(threads, "threads", 1)
     informative = None
     if not config.redraw_informative:
         informative = _draw_informative(config, RngStream(config.base_seed, 0, (1,)).generator())

@@ -136,7 +136,6 @@ class LassoProblem:
 @dataclass
 class LassoSolution:
     coef: np.ndarray
-    objective: float
     iterations: int
     kkt_violation: float
     converged: bool
@@ -197,7 +196,7 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
       enters S with the sign of its gradient, and the current point
       becomes the solution with those coordinates at zero;
     - accept: when the signs hold and the KKT violation is at most cap,
-      (delta, b, v, kkt) at that point is returned.
+      (delta, kkt) at that point is returned.
     None is returned, so the sweeps go on, on a singular support, an
     empty S, a step outside [0, 1], a drop of a coordinate that the last
     add brought in, or after p steps.  A coordinate outside live (zero
@@ -238,7 +237,7 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
         g[~live] = 0.0
         kkt = float(_kkt_violation(g, exact, lam))
         if kkt <= cap:
-            return exact, exact_b, exact_v, kkt
+            return exact, kkt
         # g now holds each coordinate's violation, |g_j| - lam off S
         new = np.flatnonzero((g > cap) & (pattern == 0.0))
         if not new.size:
@@ -252,7 +251,7 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
 
 def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     """Coordinate descent on precomputed Gram pieces, finished exactly on
-    the support.
+    the support; returns the LassoSolution.
 
     a = (1/N) sum Z.T Z, qn = (1/N) sum Z.T r, r0n = (1/N) sum r.T r.
     Stopping is scale-relative (thresholds multiply the response RMS) so
@@ -328,7 +327,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
             tried = True
             finish = _active_set_finish(a, qn, base, lam, offset, live, delta, cap)
             if finish is not None:
-                delta, b, v, kkt = finish
+                delta, kkt = finish
                 converged = True
                 break
         v = a @ b  # fresh product keeps accumulated rounding out of the tests below
@@ -336,9 +335,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
         if max_change <= cap and kkt <= cap:
             converged = True
             break
-    objective = 0.5 * (r0n - 2.0 * float(qn @ b) + float(b @ v))
-    objective += lam * float(np.abs(delta).sum())
-    return delta, objective, sweeps, kkt, converged
+    return LassoSolution(delta, sweeps, kkt, converged)
 
 
 def _scaled(pieces):
@@ -387,16 +384,7 @@ def lasso_fit(
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
     a, qn, r0n = _scaled(problem.blocks)
-    delta, objective, sweeps, kkt, converged = _fit_gram(
-        a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter
-    )
-    return LassoSolution(
-        coef=delta,
-        objective=objective,
-        iterations=sweeps,
-        kkt_violation=kkt,
-        converged=converged,
-    )
+    return _fit_gram(a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter)
 
 
 # ======================================================================
@@ -438,10 +426,9 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     coef = np.zeros(p)
     for it in range(100):
         lam = sigma * lambda0
-        coef, _, _, _, converged = _fit_gram(
-            a, qn, r0n, lam, None, coef, DEFAULT_TOL, DEFAULT_MAX_ITER
-        )
-        if not converged:
+        sol = _fit_gram(a, qn, r0n, lam, None, coef, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        coef = sol.coef
+        if not sol.converged:
             raise ConvergenceError(
                 f"scaled lasso inner solve hit {DEFAULT_MAX_ITER} sweeps at alternation {it + 1}"
             )
@@ -472,7 +459,6 @@ class PrecisionEstimate:
     """
 
     theta: np.ndarray
-    lambdas: np.ndarray
     tau_sq: np.ndarray
 
 
@@ -623,4 +609,4 @@ def nodewise_precision(
     theta = coef
     theta /= -tau_sq[:, None]
     np.fill_diagonal(theta, 1.0 / tau_sq)
-    return PrecisionEstimate(theta=theta, lambdas=lambdas, tau_sq=tau_sq)
+    return PrecisionEstimate(theta=theta, tau_sq=tau_sq)

@@ -18,6 +18,7 @@ import numpy as np
 import transfarm
 from transfarm.cli import ingest_dataset, write_dataset
 from transfarm.numerics import sym_eig
+from transfarm.simlab import SimConfig, run_experiment
 from transfarm.solver import LassoProblem, lasso_fit, scaled_lasso
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -106,3 +107,18 @@ def test_tracer_files_every_transfer_solve_under_its_stage():
         ["transfer.detect_sources"] * (config.folds * (len(sources) + 1))
         + ["transfer.two_step_fit"] * 2
     )
+
+
+def test_tracer_files_every_simlab_solve_under_its_stage():
+    # desk-sweep and paper-cell read their transfer.* metrics from the
+    # solves that simlab's replications make, not from detect_and_fit
+    tracer = load_tracer()
+    config = SimConfig(n0=40, nk=40, p=20, k_sources=3, a_size=1, replications=1)
+    with tracer.Tracer() as t:
+        run_experiment(config)
+    parents = {
+        t.spans[s.parent].name if s.parent >= 0 else None
+        for s in t.spans
+        if s.name == "solver.lasso_fit"
+    }
+    assert parents == {"transfer.detect_sources", "transfer.two_step_fit"}

@@ -69,6 +69,21 @@ def test_ingest_roundtrip_is_exact(tmp_path):
     assert names == ["a", "b", "c", "d"]
 
 
+BOM = "\ufeff".encode()  # Excel's "CSV UTF-8" export starts the file with it
+
+
+def test_ingest_drops_a_byte_order_mark(tmp_path):
+    # the header's first cell read "\ufeffy", so the response was not found
+    paths, _ = make_files(tmp_path, n_sources=0)
+    marked = tmp_path / "marked.csv"
+    with open(paths[0], "rb") as fh:
+        marked.write_bytes(BOM + fh.read())
+    x, y, names = ingest_dataset(paths[0])
+    x2, y2, names2 = ingest_dataset(str(marked))
+    assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
+    assert names2 == names
+
+
 def test_write_dataset_matches_per_cell_format(tmp_path):
     gen = np.random.default_rng(4)
     x = gen.standard_normal((5, 5)) * 10.0 ** gen.integers(-300, 300, (5, 5))
@@ -516,6 +531,20 @@ def test_flag_overrides_config_file_overrides_default(tmp_path):
     assert flag_and_file == flag_only
     assert file_only != flag_only
     assert default != file_only
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    # the first key read "\ufefftarget" and was refused as unknown
+    paths, _ = make_files(tmp_path, seed=2)
+    text = f"target = {paths[0]}\nlambda_c = 0.9\n".encode()
+    written = []
+    for name, content in (("plain", text), ("marked", BOM + text)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(content)
+        out = tmp_path / name
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        written.append((out / "fit.csv").read_bytes())
+    assert written[1] == written[0]
 
 
 def test_unknown_flag_exits_1_and_writes_nothing(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_bootstrap_zero_design_zero_draws():
 
 def test_bootstrap_sigma_homogeneity_exact():
     u, _, _ = instance(40, 6, 5)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     base = multiplier_bootstrap(u, theta, 1.0, RngStream(7), draws=50)
     scaled = multiplier_bootstrap(u, theta, 1.7, RngStream(7), draws=50)
     assert np.array_equal(scaled, 1.7 * base)
@@ -197,7 +197,7 @@ def test_quantile_validation():
 
 def test_adequacy_never_rejects_at_zero():
     u, _, _ = instance(40, 6, 18)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = adequacy_test(
         np.zeros(6), u, np.zeros(40), theta, 1.0, RngStream(19), alpha=0.05, draws=100
     )
@@ -207,7 +207,7 @@ def test_adequacy_never_rejects_at_zero():
 
 def test_adequacy_reject_flag_consistent():
     u, y, _ = instance(50, 8, 20, s=4, signal=1.0)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = adequacy_test(np.zeros(8), u, y, theta, 1.0, RngStream(21), draws=200)
     assert res.reject == (res.statistic > res.quantile)
     assert res.statistic == math.sqrt(50) * float(np.max(np.abs(res.beta_tilde)))
@@ -215,7 +215,7 @@ def test_adequacy_reject_flag_consistent():
 
 def test_adequacy_interval_halfwidth_is_uniform():
     u, y, _ = instance(30, 5, 22)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = adequacy_test(np.zeros(5), u, y, theta, 1.5, RngStream(23), draws=150)
     widths = res.upper - res.lower
     assert_allclose(widths, widths[0])
@@ -224,7 +224,7 @@ def test_adequacy_interval_halfwidth_is_uniform():
 
 def test_adequacy_is_the_plain_all_coordinate_interval_view():
     u, y, _ = instance(50, 8, 20, s=4, signal=1.0)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     test = adequacy_test(np.zeros(8), u, y, theta, 1.0, RngStream(21), draws=200)
     cis = simultaneous_cis(
         np.zeros(8), u, y, theta, 1.0, RngStream(21), group=None, studentized=False,
@@ -242,11 +242,11 @@ def test_adequacy_is_the_plain_all_coordinate_interval_view():
 
 def test_cis_studentized_halfwidth_closed_form():
     u, y, _ = instance(60, 7, 24, s=3)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = simultaneous_cis(
         np.zeros(7), u, y, theta, 1.0, RngStream(25), studentized=True, draws=300
     )
-    diag = np.diagonal(theta.theta)[list(res.group)]
+    diag = np.diagonal(theta)[list(res.group)]
     half = np.sqrt(diag) * res.quantile / math.sqrt(60)
     centers = res.beta_tilde[list(res.group)]
     # bitwise: the stored bounds come from this exact expression
@@ -258,7 +258,7 @@ def test_cis_studentized_halfwidth_closed_form():
 
 def test_cis_plain_width_constant():
     u, y, _ = instance(40, 6, 26)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = simultaneous_cis(
         np.zeros(6), u, y, theta, 1.0, RngStream(27), studentized=False, draws=100
     )
@@ -281,7 +281,7 @@ def test_cis_equal_diagonal_reduces_to_plain():
 
 def test_cis_alpha_near_one_shrinks_to_minimum_draw():
     u, y, _ = instance(30, 4, 30)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = simultaneous_cis(
         np.zeros(4), u, y, theta, 1.0, RngStream(31), alpha=0.999, draws=500,
         studentized=False,
@@ -294,7 +294,7 @@ def test_cis_alpha_near_one_shrinks_to_minimum_draw():
 
 def test_cis_group_subset():
     u, y, _ = instance(45, 8, 32)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     res = simultaneous_cis(
         np.zeros(8), u, y, theta, 1.0, RngStream(33), group=(1, 4, 6), draws=100
     )
@@ -306,7 +306,7 @@ def test_cis_group_subset():
 
 def test_quantile_grows_with_confidence():
     u, y, _ = instance(40, 6, 34)
-    theta = nodewise_precision(u, lambda_node=0.0)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
     narrow = simultaneous_cis(
         np.zeros(6), u, y, theta, 1.0, RngStream(35), alpha=0.2, draws=200
     )

@@ -233,9 +233,23 @@ def test_worker_count_is_capped_by_replications(monkeypatch):
     run_experiment(replace(cfg, replications=1), threads=8)
     assert sizes == [2]  # one replication runs in-process
     for threads in (0, -3):
-        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        with pytest.raises(ValueError, match=f"threads must be an integer of at least 1, got {threads}"):
             run_experiment(cfg, threads=threads)
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("threads", [2.5, True, 0, -3])
+def test_threads_that_are_not_a_positive_integer_are_rejected_before_any_work(monkeypatch, threads):
+    # 2.5 raised the stdlib's TypeError from the pool, and True ran as 1
+    def untouched(*args, **kwargs):
+        raise AssertionError("work started before threads was checked")
+
+    monkeypatch.setattr(transfarm.simlab, "_draw_informative", untouched)
+    monkeypatch.setattr(transfarm.simlab, "_run_replication", untouched)
+    monkeypatch.setattr(transfarm.simlab, "ProcessPoolExecutor", untouched)
+    message = f"threads must be an integer of at least 1, got {threads!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(tiny_config(replications=3, redraw_informative=False), threads=threads)
 
 
 def counter(monkeypatch, module, name):

@@ -69,7 +69,7 @@ def test_matches_projected_gradient_reference():
     sol = lasso_fit(LassoProblem([(z, r)], lam=0.1), tol=1e-10)
     ref = split_lasso([(z, r)], 0.1)
     assert_allclose(sol.coef, ref, atol=1e-5)
-    assert abs(sol.objective - pooled_objective([(z, r)], ref, 0.1)) < 1e-9
+    assert abs(pooled_objective([(z, r)], sol.coef, 0.1) - pooled_objective([(z, r)], ref, 0.1)) < 1e-9
 
 
 def test_pooled_blocks_match_projected_gradient():
@@ -98,7 +98,9 @@ def test_offset_equals_shifted_response():
 def test_objective_non_increasing_across_sweeps():
     z, r, _ = sparse_instance(40, 10, 4, 7, noise=0.8)
     problem = LassoProblem([(z, r)], lam=0.02)
-    objectives = [lasso_fit(problem, max_iter=k).objective for k in range(1, 9)]
+    objectives = [
+        pooled_objective([(z, r)], lasso_fit(problem, max_iter=k).coef, 0.02) for k in range(1, 9)
+    ]
     for before, after in zip(objectives, objectives[1:]):
         assert after <= before + 1e-12
 
@@ -146,7 +148,7 @@ def solve_and_spy(a, qn, r0n, lam, offset, start):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_active_set_finish", spy)
-        delta = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, DEFAULT_MAX_ITER)[0]
+        delta = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, DEFAULT_MAX_ITER).coef
     return delta, any(returned)
 
 
@@ -299,16 +301,13 @@ def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
     assert sum_pieces(formed(i) for i in range(count)).zz.tobytes() == listed.zz.tobytes()
     assert alive == [0] * max(count - 2, 0)
     for offset in (None, np.linspace(-0.2, 0.2, p)):
-        coef, objective, _, kkt, _ = _fit_gram(
-            a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER
-        )
+        want = _fit_gram(a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
         # read-only pieces, as detection hands them on, give the same bits
         shared = [read_only(piece) for piece in pieces]
         for given_blocks in (blocks, pieces, shared, [sum_pieces(pieces)]):
             sol = lasso_fit(LassoProblem(given_blocks, 0.05, offset=offset))
-            assert sol.coef.tobytes() == coef.tobytes()
-            assert sol.objective == objective
-            assert sol.kkt_violation == kkt
+            assert sol.coef.tobytes() == want.coef.tobytes()
+            assert sol.kkt_violation == want.kkt_violation
     # a problem reads its pieces without writing to them
     for piece, (zz, zr) in zip(pieces, kept):
         assert piece.zz.tobytes() == zz.tobytes() and piece.zr.tobytes() == zr.tobytes()
@@ -398,6 +397,13 @@ def one_at_a_time(a, qn, r0n, lam, offset, start, tol, max_iter):
     objective = 0.5 * (r0n - 2.0 * float(qn @ b) + float(b @ v))
     objective += lam * float(np.abs(delta).sum())
     return delta, objective, sweeps, kkt, converged
+
+
+def same_as(got, want):
+    """Whether a LassoSolution holds one_at_a_time's result, field by field."""
+    delta, _, sweeps, kkt, converged = want
+    fields = (got.iterations, got.kkt_violation, got.converged)
+    return np.array_equal(got.coef, delta) and fields == (sweeps, kkt, converged)
 
 
 def ulps(x, k):
@@ -564,12 +570,12 @@ def test_core_finishes_exactly_on_the_one_at_a_time_solution(problem):
     for max_iter in (1, 2, 3, DEFAULT_MAX_ITER):
         got = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
         want = one_at_a_time(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
-        if np.array_equal(got[0], want[0]) and got[1:] == want[1:]:
+        if same_as(got, want):
             continue
         # the sweeps match bit for bit until the exact finish ends the solve
-        delta, _, sweeps, kkt, converged = got
-        assert converged and sweeps <= want[2]
-        assert kkt <= cap
+        delta = got.coef
+        assert got.converged and got.iterations <= want[2]
+        assert got.kkt_violation <= cap
         if not want[4]:
             continue
         assert exact_objective(a, qn, r0n, lam, offset, delta) <= (
@@ -577,7 +583,7 @@ def test_core_finishes_exactly_on_the_one_at_a_time_solution(problem):
         )
         if clear_of_ties(a, qn, lam, offset, delta, cap):
             assert np.array_equal(np.sign(delta), np.sign(want[0]))
-    assert got[4] or not want[4]
+    assert got.converged or not want[4]
 
 
 def kkt_gap(g, x, lam):
@@ -600,10 +606,11 @@ def ends_on_its_support_point(a, qn, r0n, lam, start):
     support and signs with a KKT gap at most cap, reached in fewer sweeps
     than one_at_a_time; returned with its sweeps and one_at_a_time's
     result."""
-    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    sol = _fit_gram(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    delta, sweeps = sol.coef, sol.iterations
     want = one_at_a_time(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     support = np.flatnonzero(delta)
-    assert converged and kkt <= DEFAULT_TOL * math.sqrt(r0n)
+    assert sol.converged and sol.kkt_violation <= DEFAULT_TOL * math.sqrt(r0n)
     assert delta.tobytes() == embedded(a, qn, lam, support, np.sign(delta[support])).tobytes()
     assert sweeps < want[2]
     return delta, sweeps, want
@@ -627,8 +634,8 @@ def test_finish_on_a_singular_support_keeps_sweeping():
     start = np.array([0.4, 0.3, 0.0, 0.0, 0.0, 0.0])
     got = _fit_gram(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     want = one_at_a_time(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    assert got[4] and got[0][0] != 0.0 and got[0][1] != 0.0
-    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert got.converged and got.coef[0] != 0.0 and got.coef[1] != 0.0
+    assert same_as(got, want)
 
 
 def test_finish_rejects_a_nearly_singular_support():
@@ -642,9 +649,9 @@ def test_finish_rejects_a_nearly_singular_support():
     a, qn, r0n = gram_of(z, gen.standard_normal(40))
     got = _fit_gram(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
     want = one_at_a_time(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    assert got[4] and np.abs(got[0]).max() < 1.0
+    assert got.converged and np.abs(got.coef).max() < 1.0
     cap = DEFAULT_TOL * math.sqrt(r0n)
-    assert exact_objective(a, qn, r0n, 1e-10, None, got[0]) <= (
+    assert exact_objective(a, qn, r0n, 1e-10, None, got.coef) <= (
         exact_objective(a, qn, r0n, 1e-10, None, want[0]) + Fraction(cap)
     )
 
@@ -652,21 +659,21 @@ def test_finish_rejects_a_nearly_singular_support():
 def test_finish_at_zero_penalty_is_least_squares():
     z, r, _ = sparse_instance(60, 8, 3, 20)
     a, qn, r0n = gram_of(z, r)
-    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    assert converged and sweeps < one_at_a_time(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
-    assert kkt <= 1e-12 * math.sqrt(r0n)
-    assert_allclose(delta, np.linalg.solve(a, qn), rtol=0.0, atol=1e-12)
+    sol = _fit_gram(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert sol.converged and sol.iterations < one_at_a_time(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+    assert sol.kkt_violation <= 1e-12 * math.sqrt(r0n)
+    assert_allclose(sol.coef, np.linalg.solve(a, qn), rtol=0.0, atol=1e-12)
 
 
 def test_finish_skips_zero_variance_columns():
     z, r, _ = sparse_instance(50, 7, 3, 21)
     z[:, 4] = 0.0
     a, qn, r0n = gram_of(z, r)
-    delta, _, sweeps, kkt, converged = _fit_gram(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    assert converged and delta[4] == 0.0
-    assert kkt <= 1e-12 * math.sqrt(r0n)
-    assert sweeps < one_at_a_time(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
-    assert_allclose(delta, split_lasso([(z, r)], 0.05), atol=1e-7)
+    sol = _fit_gram(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert sol.converged and sol.coef[4] == 0.0
+    assert sol.kkt_violation <= 1e-12 * math.sqrt(r0n)
+    assert sol.iterations < one_at_a_time(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
+    assert_allclose(sol.coef, split_lasso([(z, r)], 0.05), atol=1e-7)
 
 
 def test_finish_with_a_tie_at_the_penalty():
@@ -753,9 +760,9 @@ def test_active_set_leaves_out_coordinates_outside_live(support_solves):
     qn = np.array([0.6, 0.5, 2.0])
     lam, cap = 0.05, 1e-8
     live = np.array([True, True, False])
-    delta, _, v, kkt = _active_set_finish(a, qn, qn, lam, None, live, np.array([0.3, 0.0, 0.0]), cap)
+    delta, kkt = _active_set_finish(a, qn, qn, lam, None, live, np.array([0.3, 0.0, 0.0]), cap)
     assert support_solves == [([0], False), ([0, 1], False)]
-    assert kkt <= cap and qn[2] - v[2] > 30 * lam
+    assert kkt <= cap and qn[2] - (a @ delta)[2] > 30 * lam
     assert delta.tobytes() == embedded(a, qn, lam, [0, 1], [1.0, 1.0]).tobytes()
 
 
@@ -772,12 +779,13 @@ def test_desk_size_solves_end_on_the_exact_finish():
     assert sol.iterations < one_at_a_time(a, qn, r0n, lam, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
 
     est = nodewise_precision(z)
+    lam_node = solver.DEFAULT_LAMBDA_C * math.sqrt(math.log(200) / 150)
     gram = z.T @ z / 150
     for j in range(200):
         others = np.arange(200) != j
         gamma = -est.theta[j, others] * est.tau_sq[j]
         g = gram[j, others] - gram[np.ix_(others, others)] @ gamma
-        assert kkt_gap(g, gamma, est.lambdas[j]) <= 1e-12 * math.sqrt(gram[j, j])
+        assert kkt_gap(g, gamma, lam_node) <= 1e-12 * math.sqrt(gram[j, j])
 
 
 def test_desk_lasso_mode_solve_ends_on_its_support_point_in_few_sweeps():
@@ -876,7 +884,9 @@ def test_nodewise_auto_penalty_contract():
     u = gen.standard_normal((100, 8))
     est = nodewise_precision(u)
     expected_lam = 0.5 * math.sqrt(math.log(8) / 100)
-    assert_allclose(est.lambdas, np.full(8, expected_lam))
+    explicit = nodewise_precision(u, lambda_node=expected_lam)
+    assert est.theta.tobytes() == explicit.theta.tobytes()
+    assert est.tau_sq.tobytes() == explicit.tau_sq.tobytes()
     assert np.all(np.diagonal(est.theta) > 0)
     assert np.all(est.tau_sq > 0)
 
