@@ -71,6 +71,11 @@ def debias(
     return coef + theta @ (u.T @ resid) / n
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+
+
 def _check_group(group, p: int) -> tuple[int, ...]:
     if group is None:
         return tuple(range(p))
@@ -181,8 +186,8 @@ def simultaneous_cis(
     Plain intervals share one half-width quantile / sqrt(n); studentized
     intervals scale it by sqrt(theta_ii) coordinatewise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
+    _check_alpha(alpha)
+    u = check_matrix(u, "u")
     theta = check_matrix(theta, "theta")
     n, p = u.shape
     g = _check_group(group, p)
@@ -228,10 +233,12 @@ def full_inference(
 
     Returns (adequacy result, interval result, fit, detection report).
     The same multiplier substreams feed the test and the intervals, so
-    both views come from one bootstrap sample.  draws is checked before
-    any fit.
+    both views come from one bootstrap sample.  draws, alpha and group
+    are checked before any fit.
     """
     draws = check_count(draws, "draws", 1)
+    _check_alpha(alpha)
+    _check_group(group, target.p)
     config = config or TransferConfig()
     rng = rng or RngStream(config.seed)
     if sources:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import ConvergenceError, check_count, check_matrix, check_vector
+from transfarm.numerics import ConvergenceError, check_matrix, check_vector
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
@@ -31,7 +31,8 @@ DEFAULT_MAX_ITER = 1000
 # Default penalty constant in c * sigma * sqrt(2 log p / N).
 DEFAULT_LAMBDA_C = 0.5
 
-# Nodewise residual variances at or below this are treated as degenerate.
+# A nodewise residual variance at or below this times its column's
+# variance G[j, j] is treated as degenerate.
 TAU_SQ_FLOOR = 1e-12
 
 # Relative Cholesky pivot at or below which a support Gram counts as singular.
@@ -139,14 +140,6 @@ class LassoSolution:
     iterations: int
     kkt_violation: float
     converged: bool
-
-
-def _check_controls(tol, max_iter) -> None:
-    """Reject a stopping tolerance that is not finite and positive, and a
-    sweep cap that is not a nonnegative integer, before any sweep runs."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    check_count(max_iter, "max_iter")
 
 
 def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
@@ -352,12 +345,7 @@ def _scaled(pieces):
     return a, qn, total.rr / n
 
 
-def lasso_fit(
-    problem: LassoProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    warm_start: np.ndarray | None = None,
-) -> LassoSolution:
+def lasso_fit(problem: LassoProblem, warm_start: np.ndarray | None = None) -> LassoSolution:
     """Coordinate-descent Lasso over stacked blocks.
 
     The blocks' pieces are summed by `sum_pieces` and divided by N in new
@@ -367,16 +355,14 @@ def lasso_fit(
     (Osborne, Presnell and Turlach 2000) solve the KKT equations on the
     support, drop a coordinate whose sign the solve flips and add the
     KKT violators off the support, until the solution keeps its signs
-    and its KKT violation is at most tol times the response RMS; that
-    exact point is returned.  When a step cannot be taken (on a singular
-    support, for one) the sweeps go on, and the solve converges when the
-    largest coefficient move in a sweep and the KKT violation both fall
-    below that bound.
-    Hitting max_iter returns the last iterate flagged converged=False
-    rather than raising.  tol must be finite and positive and max_iter a
-    nonnegative integer.
+    and its KKT violation is at most DEFAULT_TOL times the response RMS;
+    that exact point is returned.  When a step cannot be taken (on a
+    singular support, for one) the sweeps go on, and the solve converges
+    when the largest coefficient move in a sweep and the KKT violation
+    both fall below that bound.
+    After DEFAULT_MAX_ITER sweeps the last iterate is returned flagged
+    converged=False rather than raising.
     """
-    _check_controls(tol, max_iter)
     if warm_start is not None:
         warm_start = check_vector(warm_start, "warm_start")
         if warm_start.size != problem.p:
@@ -384,7 +370,9 @@ def lasso_fit(
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
     a, qn, r0n = _scaled(problem.blocks)
-    return _fit_gram(a, qn, r0n, problem.lam, problem.offset, warm_start, tol, max_iter)
+    return _fit_gram(
+        a, qn, r0n, problem.lam, problem.offset, warm_start, DEFAULT_TOL, DEFAULT_MAX_ITER
+    )
 
 
 # ======================================================================
@@ -466,15 +454,12 @@ def nodewise_precision(
     u: np.ndarray,
     lambda_node: float | np.ndarray | None = None,
     lambda_c: float = DEFAULT_LAMBDA_C,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PrecisionEstimate:
     """Nodewise-Lasso precision estimate of (u.T u / n)^(-1).
 
     lambda_node = None uses the uniform rule c * sqrt(log p / n); a
     scalar applies to every row and a length-p vector sets each row (a
-    bool is refused).  tol must be finite and positive and max_iter a
-    nonnegative integer.
+    bool is refused).
 
     Row j is the Lasso of column j on the other columns, with Gram
     pieces taken from G = u.T u / n (van de Geer, Buhlmann, Ritov and
@@ -489,19 +474,18 @@ def nodewise_precision(
     `_active_set_finish` on base G[j], with coordinate j not a variable,
     and so ends where a solve of its own ends: on the first support point
     that keeps its signs with a KKT violation of at most
-    tol * sqrt(G[j, j]).  When a step cannot be taken, the pattern is not
-    tried again until a sweep changes it, and the problem passes when its
-    largest coefficient move and its KKT violation are both at most that
-    cap.  A sweep visits each coordinate once, so a problem's moves are
-    its net change over the sweep, and the KKT test runs only on problems
-    whose move passed.  Rows are kept by problem: a
+    DEFAULT_TOL * sqrt(G[j, j]).  When a step cannot be taken, the
+    pattern is not tried again until a sweep changes it, and the problem
+    passes when its largest coefficient move and its KKT violation are
+    both at most that cap.  A sweep visits each coordinate once, so a
+    problem's moves are its net change over the sweep, and the KKT test
+    runs only on problems whose move passed.  Rows are kept by problem: a
     problem that passes is frozen, its gamma goes straight to row j of
     the result, and the sweeps go on over the live problems' rows in
     index order.  Failures are reported for the lowest failing row:
-    ConvergenceError when it used up max_iter sweeps, ValueError when its
-    residual variance is degenerate.
+    ConvergenceError when it used up DEFAULT_MAX_ITER sweeps, ValueError
+    when its residual variance is at most TAU_SQ_FLOOR * G[j, j].
     """
-    _check_controls(tol, max_iter)
     if isinstance(lambda_node, (bool, np.bool_)):
         raise ValueError(f"lambda_node must be a number or a vector, got {lambda_node!r}")
     u = check_matrix(u, "u")
@@ -522,7 +506,7 @@ def nodewise_precision(
     diag = np.diagonal(gram).copy()
     diag_l = diag.tolist()
     # stopping thresholds of problem j, scaled by its response RMS as in _fit_gram
-    caps = tol * np.where(diag > 0.0, np.sqrt(diag), 1.0)
+    caps = DEFAULT_TOL * np.where(diag > 0.0, np.sqrt(diag), 1.0)
     # Row j of coef holds gamma for problem j (zero at its own coordinate).
     # live lists the unconverged problems in index order; row c of gam and
     # fit holds gamma and gram @ gamma for problem live[c].
@@ -534,7 +518,7 @@ def nodewise_precision(
     converged = np.zeros(p, dtype=bool)
     tried = np.zeros(p, dtype=bool)  # problem j's sign pattern failed its exact finish
     sweeps = 0
-    while live.size and sweeps < max_iter:
+    while live.size and sweeps < DEFAULT_MAX_ITER:
         slot = np.full(p, -1)
         slot[live] = np.arange(live.size)
         slot = slot.tolist()
@@ -598,11 +582,11 @@ def nodewise_precision(
             coef[finished] = gam[done]
             gam, fit, live = gam[~done], fit[~done], live[~done]
 
-    bad = ~converged | (tau_sq <= TAU_SQ_FLOOR)
+    bad = ~converged | (tau_sq <= TAU_SQ_FLOOR * diag)
     if bad.any():
         j = int(np.argmax(bad))
         if not converged[j]:
-            raise ConvergenceError(f"nodewise regression {j} hit {max_iter} sweeps")
+            raise ConvergenceError(f"nodewise regression {j} hit {DEFAULT_MAX_ITER} sweeps")
         raise ValueError(
             f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
         )

@@ -125,7 +125,7 @@ class Dataset:
         return self._splits[key]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferConfig:
     """Knobs shared by the fitting and detection pipelines.
 
@@ -136,7 +136,8 @@ class TransferConfig:
     rule); a number eps0 >= 0 adds eps0 * sigma_hat^2 instead.  Every
     Lasso runs at the penalty lambda_c * sigma_hat * sqrt(2 log p / N), N
     its row count, and at the solver's defaults; a source is named by its
-    1-based position.
+    1-based position.  Fields are checked at construction and cannot be
+    assigned after it; `dataclasses.replace` makes a checked variant.
     """
 
     lambda_c: float = DEFAULT_LAMBDA_C

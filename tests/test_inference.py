@@ -304,6 +304,17 @@ def test_cis_group_subset():
         assert res.lower[i] <= res.beta_tilde[g] <= res.upper[i]
 
 
+def test_cis_and_adequacy_accept_a_nested_list_design():
+    # both read u.shape before any check, so a list raised AttributeError,
+    # though debias and the bootstrap accept one
+    u, y, _ = instance(30, 4, 39)
+    theta = nodewise_precision(u, lambda_node=0.0).theta
+    coef = np.full(4, 0.1)
+    for fn in (simultaneous_cis, adequacy_test):
+        want = fn(coef, u, y, theta, 1.0, RngStream(40), draws=100)
+        assert_bitwise_equal(fn(coef, u.tolist(), y, theta, 1.0, RngStream(40), draws=100), want)
+
+
 def test_quantile_grows_with_confidence():
     u, y, _ = instance(40, 6, 34)
     theta = nodewise_precision(u, lambda_node=0.0).theta
@@ -339,15 +350,23 @@ def test_full_inference_without_sources():
 
 
 def test_full_inference_rejects_bad_draws_before_any_fit(monkeypatch):
-    # draws=2.5 ran detection, the fit and the nodewise precision first
+    # draws=2.5, alpha=1.5 and a group outside [0, p) or empty each ran
+    # detection, the fit and the nodewise precision first
     def untouched(*args, **kwargs):
-        raise AssertionError("a fit ran before draws was checked")
+        raise AssertionError("a fit ran before draws, alpha and group were checked")
 
-    monkeypatch.setattr(transfarm.inference, "two_step_fit", untouched)
-    monkeypatch.setattr(transfarm.inference, "detect_and_fit", untouched)
+    for name in ("two_step_fit", "detect_and_fit", "nodewise_precision"):
+        monkeypatch.setattr(transfarm.inference, name, untouched)
     x = np.random.default_rng(38).standard_normal((30, 4))
-    with pytest.raises(ValueError, match="draws must be an integer of at least 1, got 2.5"):
-        full_inference(Dataset(x=x, y=x[:, 0]), [Dataset(x=x, y=x[:, 1])], draws=2.5)
+    cases = [
+        ({"draws": 2.5}, "draws must be an integer of at least 1, got 2.5"),
+        ({"alpha": 1.5}, "alpha must lie strictly inside (0, 1), got 1.5"),
+        ({"group": (4,)}, "group indices must lie in [0, 3]"),
+        ({"group": ()}, "group must be nonempty"),
+    ]
+    for kw, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            full_inference(Dataset(x=x, y=x[:, 0]), [Dataset(x=x, y=x[:, 1])], **kw)
 
 
 def assert_bitwise_equal(a, b):

@@ -1,7 +1,7 @@
 """Two-step transfer estimator and source detection."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -199,6 +199,18 @@ def test_config_validation():
             TransferConfig(**{name: value})
     assert TransferConfig(rank=np.int64(1), folds=np.int32(4), seed=np.uint8(2)).folds == 4
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
+
+
+def test_config_fields_cannot_be_assigned():
+    # an assignment skipped the checks: mode "bogus" fitted in farm mode,
+    # eps0=-1.0 kept no source and folds=1 failed inside numpy, unnamed
+    config = TransferConfig()
+    for name, value in [("mode", "bogus"), ("eps0", -1.0), ("folds", 1)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+    assert replace(config, folds=4).folds == 4
+    with pytest.raises(ValueError, match="folds must be at least 2, got 1"):
+        replace(config, folds=1)
 
 
 @pytest.mark.parametrize("name", ["lambda_c", "eps0"])
