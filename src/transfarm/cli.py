@@ -368,6 +368,8 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
             key = key.strip()
             if key not in allowed:
                 raise UsageError(f"{path}: unknown config key {key!r}")
+            if key in out:
+                raise UsageError(f"{path}: line {line_no} repeats config key {key!r}")
             out[key] = value.strip()
     return out
 

@@ -49,9 +49,10 @@ def _is_integer(value) -> bool:
 
 def check_fields(config) -> None:
     """Check each field of the dataclass config against its annotation,
-    which must be postponed so that it is text: a float must be finite and
-    an int a Python or numpy integer, either may be None when annotated
-    "| None".  The ValueError names the first field that fails."""
+    which must be postponed so that it is text: a float must be finite, an
+    int a Python or numpy integer and a bool a Python or numpy bool; each
+    may be None when annotated "| None".  The ValueError names the first
+    field that fails."""
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
@@ -61,6 +62,8 @@ def check_fields(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
         if kind == "int" and not _is_integer(value):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "bool" and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
 
 
 def check_count(value, name: str, minimum: int = 0) -> int:

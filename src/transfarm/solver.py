@@ -142,11 +142,10 @@ class LassoSolution:
     converged: bool
 
 
-def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+def _kkt_violation(g: np.ndarray, delta: np.ndarray, lam: float) -> np.ndarray:
     # g is the scaled correlation (1/N) sum Z.T (r - Z b); stationarity
     # needs g_j = lam * sign(delta_j) on the active set and |g_j| <= lam off it.
-    # Rows of a 2-d g are separate problems, each with its own lam; g is
-    # overwritten.
+    # Rows of a 2-d g are separate problems at the same lam; g is overwritten.
     np.subtract(g, lam, out=g, where=delta > 0.0)
     np.add(g, lam, out=g, where=delta < 0.0)
     np.abs(g, out=g)
@@ -242,7 +241,7 @@ def _active_set_finish(a, qn, base, lam, offset, live, start, cap):
     return None
 
 
-def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
+def _fit_gram(a, qn, r0n, lam, offset, start):
     """Coordinate descent on precomputed Gram pieces, finished exactly on
     the support; returns the LassoSolution.
 
@@ -263,14 +262,14 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     that leaves the pattern drops the first coordinate that a move toward
     it brings to zero; one that keeps the pattern but fails the KKT test
     adds every violator off S.  The first point that keeps its pattern
-    with a KKT violation of at most tol * RMS is returned as converged,
+    with a KKT violation of at most DEFAULT_TOL * RMS is returned as converged,
     so the result depends on its support and signs only, not on the
     sweeps that found them.  When a step cannot be taken (a singular or
     empty support, a step outside [0, 1], a coordinate dropped right
     after it was added, or p steps) the swept iterate stands, and the
     pattern is not tried again until a sweep changes it.  Without a
     finish, a sweep passes when its largest coefficient move and its KKT
-    violation are both at most tol * RMS.
+    violation are both at most DEFAULT_TOL * RMS.
     """
     p = qn.size
     lam = float(lam)
@@ -279,7 +278,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     b = b.copy()
     rms = math.sqrt(r0n) if r0n > 0 else 0.0
     scale = rms if rms > 0 else 1.0
-    cap = tol * scale
+    cap = DEFAULT_TOL * scale
     diag = np.diagonal(a).copy()
     diag_l = diag.tolist()
     qn_l = qn.tolist()
@@ -291,7 +290,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start, tol, max_iter):
     sweeps = 0
     converged = False
     kkt = math.inf
-    while sweeps < max_iter:
+    while sweeps < DEFAULT_MAX_ITER:
         max_change = 0.0
         sign = np.sign(delta)
         nonzero = delta.any()
@@ -370,9 +369,7 @@ def lasso_fit(problem: LassoProblem, warm_start: np.ndarray | None = None) -> La
                 f"warm_start has length {warm_start.size}, expected {problem.p}"
             )
     a, qn, r0n = _scaled(problem.blocks)
-    return _fit_gram(
-        a, qn, r0n, problem.lam, problem.offset, warm_start, DEFAULT_TOL, DEFAULT_MAX_ITER
-    )
+    return _fit_gram(a, qn, r0n, problem.lam, problem.offset, warm_start)
 
 
 # ======================================================================
@@ -414,7 +411,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     coef = np.zeros(p)
     for it in range(100):
         lam = sigma * lambda0
-        sol = _fit_gram(a, qn, r0n, lam, None, coef, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        sol = _fit_gram(a, qn, r0n, lam, None, coef)
         coef = sol.coef
         if not sol.converged:
             raise ConvergenceError(
@@ -452,14 +449,14 @@ class PrecisionEstimate:
 
 def nodewise_precision(
     u: np.ndarray,
-    lambda_node: float | np.ndarray | None = None,
+    lambda_node: float | None = None,
     lambda_c: float = DEFAULT_LAMBDA_C,
 ) -> PrecisionEstimate:
     """Nodewise-Lasso precision estimate of (u.T u / n)^(-1).
 
-    lambda_node = None uses the uniform rule c * sqrt(log p / n); a
-    scalar applies to every row and a length-p vector sets each row (a
-    bool is refused).
+    Every row takes one penalty: lambda_node, or lambda_c * sqrt(log p / n)
+    when it is None.  Either must be finite and nonnegative; lambda_node
+    must be one number, not a bool, a list or an array with an axis.
 
     Row j is the Lasso of column j on the other columns, with Gram
     pieces taken from G = u.T u / n (van de Geer, Buhlmann, Ritov and
@@ -486,21 +483,18 @@ def nodewise_precision(
     ConvergenceError when it used up DEFAULT_MAX_ITER sweeps, ValueError
     when its residual variance is at most TAU_SQ_FLOOR * G[j, j].
     """
-    if isinstance(lambda_node, (bool, np.bool_)):
-        raise ValueError(f"lambda_node must be a number or a vector, got {lambda_node!r}")
+    if isinstance(lambda_node, (bool, np.bool_)) or np.ndim(lambda_node):
+        raise ValueError(f"lambda_node must be one number, got {lambda_node!r}")
     u = check_matrix(u, "u")
     n, p = u.shape
     if n < 2 or p < 1:
         raise ValueError(f"u must have at least 2 rows and 1 column, got {u.shape}")
+    name, lam = ("lambda_c", lambda_c) if lambda_node is None else ("lambda_node", lambda_node)
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {lam}")
     if lambda_node is None:
-        lambda_node = lambda_c * math.sqrt(math.log(p) / n)
-    if np.isscalar(lambda_node):
-        lambda_node = np.full(p, float(lambda_node))
-    lambdas = check_vector(lambda_node, "lambda_node")
-    if lambdas.size != p:
-        raise ValueError(f"lambda_node has length {lambdas.size}, expected {p}")
-    if np.any(lambdas < 0):
-        raise ValueError("nodewise penalties must be nonnegative")
+        lam *= math.sqrt(math.log(p) / n)
 
     gram = u.T @ u / n
     diag = np.diagonal(gram).copy()
@@ -522,8 +516,6 @@ def nodewise_precision(
         slot = np.full(p, -1)
         slot[live] = np.arange(live.size)
         slot = slot.tolist()
-        hi = lambdas[live]
-        lo = -hi
         cap = caps[live]
         start = gam.copy()
         cols = gram[:, live]  # cols[k] is gram[k, live], read whole on each visit
@@ -533,7 +525,7 @@ def nodewise_precision(
                 continue
             old = gam[:, k]
             c = cols[k] - fit[:, k] + gkk * old
-            new = (c - np.minimum(np.maximum(c, lo), hi)) / gkk
+            new = (c - np.minimum(np.maximum(c, -lam), lam)) / gkk
             if slot[k] >= 0:
                 new[slot[k]] = 0.0  # problem k does not regress on itself
             step = new - old
@@ -563,13 +555,13 @@ def nodewise_precision(
         g = gram[live[test]]
         g -= fit[test]
         g[np.arange(test.size), live[test]] = 0.0  # coordinate j is not a variable of problem j
-        done[test] = _kkt_violation(g, gam[test], hi[test, None]) <= cap[test]
+        done[test] = _kkt_violation(g, gam[test], lam) <= cap[test]
         del g  # free it before the filtering below makes its own copies
         for c in finish.tolist():
             j = live[c]
             own = diag > 0.0
             own[j] = False  # problem j does not regress on itself
-            step = _active_set_finish(gram, gram[j], gram[j], hi[c], None, own, gam[c], cap[c])
+            step = _active_set_finish(gram, gram[j], gram[j], lam, None, own, gam[c], cap[c])
             if step is not None:
                 row = step[0]
                 support = np.flatnonzero(row)

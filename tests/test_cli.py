@@ -564,6 +564,32 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "unknown config key 'sim_p'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, line", [("source", 3), ("seed", 4)])
+def test_repeated_config_key_exits_1(tmp_path, capsys, key, line):
+    # the last value won: two source lines scored only the second file,
+    # and a second seed line silently replaced the first
+    paths, _ = make_files(tmp_path)
+    lines = [f"target = {paths[0]}", f"source = {paths[1]}", "seed = 1"]
+    lines.insert(line - 1, f"source = {paths[2]}" if key == "source" else "seed = 2")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"{cfg}: line {line} repeats config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_lists_sources_as_one_comma_list(tmp_path):
+    paths, _ = make_files(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"target = {paths[0]}\nsource = {paths[1]},{paths[2]}\n")
+    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    flags = ["--target", paths[0], "--source", paths[1], "--source", paths[2]]
+    assert main(["detect", *flags, "--out", str(tmp_path / "flags")]) == 0
+    written = [(tmp_path / name / "detection.csv").read_bytes() for name in ("file", "flags")]
+    assert written[0] == written[1]
+
+
 def test_missing_target_exits_1(capsys):
     assert main(["fit"]) == 1
     assert "--target is required" in capsys.readouterr().err

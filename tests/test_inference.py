@@ -20,6 +20,7 @@ from transfarm.inference import (
     simultaneous_cis,
 )
 from transfarm.numerics import RngStream
+from transfarm.simlab import SimConfig, generate
 from transfarm.solver import nodewise_precision
 from transfarm.transfer import Dataset, TransferConfig, detect_and_fit
 
@@ -367,6 +368,28 @@ def test_full_inference_rejects_bad_draws_before_any_fit(monkeypatch):
     for kw, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             full_inference(Dataset(x=x, y=x[:, 0]), [Dataset(x=x, y=x[:, 1])], **kw)
+
+
+@pytest.mark.parametrize("mode", ["farm", "lasso"])
+@pytest.mark.parametrize("seed", range(6))
+def test_full_inference_is_equivariant_to_response_scale(mode, seed):
+    design = SimConfig(n0=60, nk=60, p=20, s=3, k_sources=3, a_size=1)
+    target, sources, _ = generate(design, RngStream(seed))
+    config = TransferConfig(mode=mode)
+    test, cis, _, report = full_inference(target, sources, config, draws=200)
+    for k in (-3, 5):
+        # a power of two rescales every float operation exactly
+        c = 2.0**k
+        scaled = [Dataset(x=d.x, y=c * d.y) for d in [target, *sources]]
+        test_c, cis_c, _, report_c = full_inference(scaled[0], scaled[1:], config, draws=200)
+        assert report_c.selected == report.selected
+        for got, want in ((test_c, test), (cis_c, cis)):
+            for name in ("beta_tilde", "lower", "upper"):
+                assert np.array_equal(getattr(got, name), c * getattr(want, name))
+            for name in ("statistic", "quantile", "sigma_hat"):
+                assert getattr(got, name) == c * getattr(want, name)
+            assert got.reject == want.reject
+            assert got.theta.tobytes() == want.theta.tobytes()
 
 
 def assert_bitwise_equal(a, b):

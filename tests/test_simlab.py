@@ -420,6 +420,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             tiny_config(**{name: value})
     assert tiny_config(p=np.int64(30), max_rank=np.int32(3)).p == 30
+    # a truthy string such as "false" ran with the true rank
+    for name in ("fix_rank", "redraw_informative"):
+        for value in ("false", 0.0, 2, None):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be a bool, got {value!r}")):
+                tiny_config(**{name: value})
+        assert not getattr(tiny_config(**{name: np.False_}), name)
     assert tiny_config(n0=5, s=2, roster=ALL_ESTIMATORS, folds=2).n0 == 5
     assert tiny_config(n0=2, s=2, roster=("only-FARM", "Pooled-Trans-Lasso")).n0 == 2
     assert tiny_config(s=0, rho=0.0).s == 0

@@ -46,7 +46,11 @@ def sparse_instance(n, p, s, seed, noise=1.0, beta_value=1.0):
 
 def capped_fit(problem, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, warm_start=None):
     """lasso_fit at a stopping tolerance and sweep cap of the caller's."""
-    return _fit_gram(*_scaled(problem.blocks), problem.lam, problem.offset, warm_start, tol, max_iter)
+    with (
+        mock.patch.object(solver, "DEFAULT_TOL", tol),
+        mock.patch.object(solver, "DEFAULT_MAX_ITER", max_iter),
+    ):
+        return lasso_fit(problem, warm_start)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +156,7 @@ def solve_and_spy(a, qn, r0n, lam, offset, start):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_active_set_finish", spy)
-        delta = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, DEFAULT_MAX_ITER).coef
+        delta = _fit_gram(a, qn, r0n, lam, offset, start).coef
     return delta, any(returned)
 
 
@@ -198,8 +202,17 @@ def test_iteration_cap_flags_not_raises():
 def test_nodewise_rejects_a_bool_penalty(flag):
     # True fitted every row at penalty 1.0
     u = np.random.default_rng(31).standard_normal((20, 3))
-    with pytest.raises(ValueError, match="lambda_node must be a number or a vector, got (np.)?True"):
+    with pytest.raises(ValueError, match="lambda_node must be one number, got (np.)?True"):
         nodewise_precision(u, lambda_node=flag)
+
+
+@pytest.mark.parametrize("lam", [np.full(3, 0.05), np.array([0.05]), [0.05]])
+def test_nodewise_rejects_a_penalty_vector(lam):
+    # every row takes the one penalty; a length-p vector set each row's,
+    # and a length-1 array was read as the scalar
+    u = np.random.default_rng(31).standard_normal((20, 3))
+    with pytest.raises(ValueError, match=r"lambda_node must be one number, got (array\(|\[)"):
+        nodewise_precision(u, lambda_node=lam)
 
 
 def test_problem_validation():
@@ -273,7 +286,7 @@ def test_piece_sum_is_bitwise_the_accumulation_into_zeros(count):
     assert sum_pieces(formed(i) for i in range(count)).zz.tobytes() == listed.zz.tobytes()
     assert alive == [0] * max(count - 2, 0)
     for offset in (None, np.linspace(-0.2, 0.2, p)):
-        want = _fit_gram(a, qn, r0n, 0.05, offset, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        want = _fit_gram(a, qn, r0n, 0.05, offset, None)
         # read-only pieces, as detection hands them on, give the same bits
         shared = [read_only(piece) for piece in pieces]
         for given_blocks in (blocks, pieces, shared, [sum_pieces(pieces)]):
@@ -540,7 +553,8 @@ def test_core_finishes_exactly_on_the_one_at_a_time_solution(problem):
     rms = math.sqrt(r0n) if r0n > 0 else 0.0
     cap = DEFAULT_TOL * (rms if rms > 0 else 1.0)
     for max_iter in (1, 2, 3, DEFAULT_MAX_ITER):
-        got = _fit_gram(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
+        with mock.patch.object(solver, "DEFAULT_MAX_ITER", max_iter):
+            got = _fit_gram(a, qn, r0n, lam, offset, start)
         want = one_at_a_time(a, qn, r0n, lam, offset, start, DEFAULT_TOL, max_iter)
         if same_as(got, want):
             continue
@@ -578,7 +592,7 @@ def ends_on_its_support_point(a, qn, r0n, lam, start):
     support and signs with a KKT gap at most cap, reached in fewer sweeps
     than one_at_a_time; returned with its sweeps and one_at_a_time's
     result."""
-    sol = _fit_gram(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    sol = _fit_gram(a, qn, r0n, lam, None, start)
     delta, sweeps = sol.coef, sol.iterations
     want = one_at_a_time(a, qn, r0n, lam, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     support = np.flatnonzero(delta)
@@ -604,7 +618,7 @@ def test_finish_on_a_singular_support_keeps_sweeping():
     a[1], a[:, 1] = a[0], a[:, 0]
     qn[1] = qn[0]
     start = np.array([0.4, 0.3, 0.0, 0.0, 0.0, 0.0])
-    got = _fit_gram(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    got = _fit_gram(a, qn, r0n, 0.05, None, start)
     want = one_at_a_time(a, qn, r0n, 0.05, None, start, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert got.converged and got.coef[0] != 0.0 and got.coef[1] != 0.0
     assert same_as(got, want)
@@ -619,7 +633,7 @@ def test_finish_rejects_a_nearly_singular_support():
     z = gen.standard_normal((40, 12))
     z[:, 9] = z[:, 1]
     a, qn, r0n = gram_of(z, gen.standard_normal(40))
-    got = _fit_gram(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    got = _fit_gram(a, qn, r0n, 1e-10, None, None)
     want = one_at_a_time(a, qn, r0n, 1e-10, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
     assert got.converged and np.abs(got.coef).max() < 1.0
     cap = DEFAULT_TOL * math.sqrt(r0n)
@@ -631,7 +645,7 @@ def test_finish_rejects_a_nearly_singular_support():
 def test_finish_at_zero_penalty_is_least_squares():
     z, r, _ = sparse_instance(60, 8, 3, 20)
     a, qn, r0n = gram_of(z, r)
-    sol = _fit_gram(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    sol = _fit_gram(a, qn, r0n, 0.0, None, None)
     assert sol.converged and sol.iterations < one_at_a_time(a, qn, r0n, 0.0, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
     assert sol.kkt_violation <= 1e-12 * math.sqrt(r0n)
     assert_allclose(sol.coef, np.linalg.solve(a, qn), rtol=0.0, atol=1e-12)
@@ -641,7 +655,7 @@ def test_finish_skips_zero_variance_columns():
     z, r, _ = sparse_instance(50, 7, 3, 21)
     z[:, 4] = 0.0
     a, qn, r0n = gram_of(z, r)
-    sol = _fit_gram(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    sol = _fit_gram(a, qn, r0n, 0.05, None, None)
     assert sol.converged and sol.coef[4] == 0.0
     assert sol.kkt_violation <= 1e-12 * math.sqrt(r0n)
     assert sol.iterations < one_at_a_time(a, qn, r0n, 0.05, None, None, DEFAULT_TOL, DEFAULT_MAX_ITER)[2]
@@ -906,8 +920,19 @@ def test_nodewise_rejects_non_finite_scalar_penalty(lam):
     # NaN would run every sweep before a ConvergenceError, and inf would
     # return a diagonal theta
     u = np.random.default_rng(19).standard_normal((20, 3))
-    with pytest.raises(ValueError, match="lambda_node contains non-finite entries"):
+    with pytest.raises(ValueError, match=f"lambda_node must be finite and nonnegative, got {lam}"):
         nodewise_precision(u, lambda_node=lam)
+
+
+@pytest.mark.parametrize("lambda_c", [np.nan, np.inf, -0.5])
+def test_nodewise_names_a_bad_lambda_c(lambda_c):
+    # the default penalty is lambda_c * sqrt(log p / n), so a bad lambda_c
+    # is named, not the lambda_node it was never given
+    u = np.random.default_rng(19).standard_normal((20, 3))
+    with pytest.raises(ValueError, match=f"lambda_c must be finite and nonnegative, got {lambda_c}"):
+        nodewise_precision(u, lambda_c=lambda_c)
+    with pytest.raises(ValueError, match="lambda_node must be finite and nonnegative, got -0.5"):
+        nodewise_precision(u, lambda_node=-0.5, lambda_c=lambda_c)
 
 
 def test_nodewise_single_column():
@@ -918,38 +943,40 @@ def test_nodewise_single_column():
 
 @st.composite
 def coupled_designs(draw, degenerate=False):
-    """(u, per-row lambdas).  degenerate designs may repeat column 0 in
-    column 1 and spread lambda over three decades, so that within one
-    sweep some rows pass their move cap and others do not."""
+    """(u, lambda).  degenerate designs may repeat column 0 in column 1
+    and scale column k by 10^U(-1.5, 1.5): row j of a Lasso at lambda on
+    scaled columns is one at lambda / (s_j * s_k) on unscaled ones, so the
+    effective penalties spread over decades and within one sweep some rows
+    pass their move cap and others do not."""
     p = draw(st.integers(1, 8))
     n = draw(st.integers(2 * p + 6, 40))
     seed = draw(st.integers(0, 2**32 - 1))
     coupling = draw(st.floats(0.0, 0.8))
-    low = 0.001 if degenerate else 0.01
-    high = 1.0 if degenerate else 0.4
-    lambdas = draw(st.lists(st.floats(low, high), min_size=p, max_size=p))
+    lam = draw(st.floats(0.001, 1.0) if degenerate else st.floats(0.01, 0.4))
     gen = np.random.default_rng(seed)
     # one shared column couples every nodewise problem to the others
     u = gen.standard_normal((n, p)) + coupling * gen.standard_normal((n, 1))
-    if degenerate and p > 1 and draw(st.booleans()):
-        u[:, 1] = u[:, 0]
-    return u, np.array(lambdas)
+    if degenerate:
+        if p > 1 and draw(st.booleans()):
+            u[:, 1] = u[:, 0]
+        u *= 10.0 ** gen.uniform(-1.5, 1.5, p)
+    return u, lam
 
 
 @settings(max_examples=40, deadline=None)
 @given(coupled_designs())
 def test_nodewise_matches_row_by_row_oracle(design):
-    u, lambdas = design
+    u, lam = design
     p = u.shape[1]
-    est = nodewise_precision(u, lambda_node=lambdas)
-    theta, tau_sq = nodewise_oracle(u, lambdas)
+    est = nodewise_precision(u, lambda_node=lam)
+    theta, tau_sq = nodewise_oracle(u, np.full(p, lam))
     assert_allclose(est.theta, theta, atol=1e-6)
     assert_allclose(est.tau_sq, tau_sq, atol=1e-6)
     # every row stops where its own solve stops: a problem that kept
     # sweeping after it converged would drift from lasso_fit
     for j in range(p if p > 1 else 0):
         others = np.arange(p) != j
-        alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], float(lambdas[j])))
+        alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], lam))
         assert_allclose(-est.theta[j, others] * est.tau_sq[j], alone.coef, atol=1e-10)
 
 
@@ -1046,12 +1073,13 @@ def outcome(fn):
     return theta.tobytes(), tau_sq.tobytes()
 
 
-def assert_same_as_batched_reference(u, lambdas, max_iter=DEFAULT_MAX_ITER):
+def assert_same_as_batched_reference(u, lam, max_iter=DEFAULT_MAX_ITER):
     def current():
         with mock.patch.object(solver, "DEFAULT_MAX_ITER", max_iter):
-            est = nodewise_precision(u, lambda_node=lambdas)
+            est = nodewise_precision(u, lambda_node=lam)
         return est.theta, est.tau_sq
 
+    lambdas = np.full(u.shape[1], lam)
     assert outcome(current) == outcome(lambda: batched_reference(u, lambdas, max_iter=max_iter))
 
 
@@ -1062,11 +1090,11 @@ def test_nodewise_sweep_is_bitwise_the_batched_reference(design, max_iter, finis
     # takes each row's move from its net change and KKT-tests only rows
     # whose move passed; none of it may move a bit.  Most rows end on the
     # finish, so with it turned off every row ends on the move and KKT tests
-    u, lambdas = design
+    u, lam = design
     with contextlib.ExitStack() as stack:
         if not finish:
             stack.enter_context(mock.patch.object(solver, "_active_set_finish", lambda *args: None))
-        assert_same_as_batched_reference(u, lambdas, max_iter=max_iter)
+        assert_same_as_batched_reference(u, lam, max_iter=max_iter)
 
 
 def test_nodewise_sweep_is_bitwise_the_batched_reference_at_inference_scale():
@@ -1075,8 +1103,7 @@ def test_nodewise_sweep_is_bitwise_the_batched_reference_at_inference_scale():
     design = SimConfig(n0=300, nk=300, p=300, k_sources=4, a_size=2)
     target, _, _ = generate(design, RngStream(100))
     u, _ = target.split(TransferConfig()).block
-    lambdas = np.full(300, solver.DEFAULT_LAMBDA_C * math.sqrt(math.log(300) / 300))
-    assert_same_as_batched_reference(u, lambdas)
+    assert_same_as_batched_reference(u, solver.DEFAULT_LAMBDA_C * math.sqrt(math.log(300) / 300))
 
 
 def test_nodewise_rows_take_the_active_set_steps():
@@ -1102,13 +1129,13 @@ def test_nodewise_reports_lowest_degenerate_column():
 
 
 def test_nodewise_reports_lowest_unconverged_row():
-    # row 0's large penalty settles it in one sweep; the coupled rows
-    # after it need more, so row 1 is the one reported
+    # column 0 at 1e-3 of the others' scale correlates with them below the
+    # penalty, so row 0 settles in one sweep; the coupled rows after it
+    # need more, so row 1 is the one reported
     gen = np.random.default_rng(18)
     u = gen.standard_normal((40, 6)) + gen.standard_normal((40, 1))
-    lambdas = np.full(6, 0.01)
-    lambdas[0] = 10.0
+    u[:, 0] *= 1e-3
     with mock.patch.object(solver, "DEFAULT_MAX_ITER", 1):
         with pytest.raises(ConvergenceError, match="nodewise regression 1 hit 1 sweeps"):
-            nodewise_precision(u, lambda_node=lambdas)
-    assert nodewise_precision(u, lambda_node=lambdas).tau_sq[0] > 0
+            nodewise_precision(u, lambda_node=0.01)
+    assert nodewise_precision(u, lambda_node=0.01).tau_sq[0] > 0
