@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from transfarm.inference import full_inference
-from transfarm.numerics import RngStream, check_matrix, check_vector
+from transfarm.numerics import check_matrix, check_vector
 from transfarm.simlab import SimConfig, run_experiment
 from transfarm.transfer import (
     Dataset,
@@ -169,6 +169,9 @@ def write_dataset(path: str, x: np.ndarray, y: np.ndarray, response: str = "y",
         feature_names = [f"x{j + 1}" for j in range(x.shape[1])]
     if len(feature_names) != x.shape[1]:
         raise ValueError(f"{len(feature_names)} feature names for {x.shape[1]} columns")
+    # ingest_dataset strips each header cell before it looks for the response
+    if response in (name.strip() for name in feature_names):
+        raise ValueError(f"feature name {response!r} is also the response column")
     # '%.17g' % v gives the bytes _fmt gives a float: one formatter serves both
     line = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
     with open(path, "w", newline="") as fh:
@@ -301,7 +304,6 @@ _SIM_SHARED = ("base_seed", "lambda_c", "folds", "eps0")
 # keyed by annotation text: simlab postpones annotations, so field.type is a string
 _SIM_CONVERTERS = {
     "int": _c_int,
-    "int | None": _c_int,
     "float": _c_float,
     "bool": _c_bool,
     "tuple[float, ...] | None": _c_float_list,
@@ -495,7 +497,6 @@ def _cmd_infer(m: dict) -> int:
         target,
         sources,
         config,
-        rng=RngStream(m["seed"]),
         group=m["group"],
         alpha=m["alpha"],
         studentized=m["studentized"],

@@ -71,16 +71,12 @@ def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def decompose(
-    x: np.ndarray,
-    rank: int | None = None,
-    max_rank: int | None = None,
-) -> FactorDecomposition:
+def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
     """Principal-component factor split of a design matrix.
 
     rank = None picks the factor count by the eigenvalue-ratio rule over
-    at most max_rank candidates (default min(n // 2, 15)); rank = 0 is a
-    valid degenerate split with empty factors and idiosyncratic = x.
+    at most min(min(n, p) // 2, 15) candidates; rank = 0 is a valid
+    degenerate split with empty factors and idiosyncratic = x.
     """
     x = check_matrix(x, "x")
     n, p = x.shape
@@ -94,11 +90,10 @@ def decompose(
     eig = SymEigResult(np.zeros(0), np.zeros((n, 0))) if rank == 0 else sym_eig(x @ x.T)
     gram_eigenvalues = eig.eigenvalues
     if rank is None:
-        cap = default_max_rank(n) if max_rank is None else max_rank
         # the gram spectrum dies at the column count, so an uncapped ratio
         # search on a narrow design would always pick the full column rank
         # and leave an all-zero idiosyncratic block
-        cap = min(cap, limit // 2)
+        cap = min(default_max_rank(n), limit // 2)
         if cap < 1:
             raise ValueError(
                 f"automatic rank selection needs at least 2 usable columns, got {limit}"

@@ -8,6 +8,7 @@ place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -47,23 +48,43 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_fields(config) -> None:
+def _check_kind(name: str, kind: str, value) -> None:
+    if kind == "float":
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    elif kind == "int" and not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif kind == "bool" and not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    elif kind.startswith("tuple["):
+        if not isinstance(value, tuple):
+            raise ValueError(f"{name} must be a tuple, got {value!r}")
+        entry = kind.removeprefix("tuple[").removesuffix(", ...]")
+        for v in value:
+            _check_kind(name, entry, v)
+
+
+def check_fields(config, at_least: dict[str, float]) -> None:
     """Check each field of the dataclass config against its annotation,
-    which must be postponed so that it is text: a float must be finite, an
-    int a Python or numpy integer and a bool a Python or numpy bool; each
-    may be None when annotated "| None".  The ValueError names the first
-    field that fails."""
+    which must be postponed so that it is text, then against at_least, its
+    lowest value by field name.  A float is a finite real number and not a
+    bool, an int a Python or numpy integer, a bool a Python or numpy bool,
+    a tuple[T, ...] a tuple of T; a str is not checked.  None passes a
+    field annotated "| None".  The ValueError names the first field that
+    fails; a key of at_least that names no field raises a TypeError."""
+    stray = set(at_least).difference(f.name for f in fields(config))
+    if stray:
+        raise TypeError(f"{type(config).__name__} has no fields {sorted(stray)}")
     for f in fields(config):
         value = getattr(config, f.name)
         kind, _, optional = f.type.partition(" | ")
         if value is None and optional == "None":
             continue
-        if kind == "float" and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-        if kind == "int" and not _is_integer(value):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind == "bool" and not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{f.name} must be a bool, got {value!r}")
+        _check_kind(f.name, kind, value)
+        if f.name in at_least and value < at_least[f.name]:
+            raise ValueError(f"{f.name} must be at least {at_least[f.name]}, got {value}")
 
 
 def check_count(value, name: str, minimum: int = 0) -> int:

@@ -92,15 +92,11 @@ class SimConfig:
     folds: int = TransferConfig.folds
     eps0: float | None = TransferConfig.eps0
     fix_rank: bool = False
-    max_rank: int | None = None
     redraw_informative: bool = True
 
     def __post_init__(self):
-        check_fields(self)
-        for name, low in (("n0", 2), ("nk", 2), ("p", 1), ("s", 0), ("k_sources", 0),
-                          ("rank", 0), ("base_seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        check_fields(self, {"n0": 2, "nk": 2, "p": 1, "s": 0, "k_sources": 0, "rank": 0,
+                            "replications": 1, "base_seed": 0})
         if not 0 <= self.rho < 1:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.s > self.p:
@@ -111,14 +107,10 @@ class SimConfig:
             )
         if self.gamma0 is None:
             self.gamma0 = (0.5,) * self.rank
-        if not all(math.isfinite(g) for g in self.gamma0):
-            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
         if len(self.gamma0) != self.rank:
             raise ValueError(
                 f"gamma0 has length {len(self.gamma0)}, expected rank {self.rank}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
         if not self.roster:
             raise ValueError("roster must name at least one estimator")
         unknown = [name for name in self.roster if name not in ALL_ESTIMATORS]
@@ -280,7 +272,6 @@ def _transfer_config(config: SimConfig, mode: str, rep: int) -> TransferConfig:
     return TransferConfig(
         lambda_c=config.lambda_c,
         rank=config.rank if config.fix_rank else None,
-        max_rank=config.max_rank,
         mode=mode,
         folds=config.folds,
         eps0=config.eps0,

@@ -114,9 +114,9 @@ class Dataset:
 
     def split(self, config: TransferConfig) -> DatasetSplit:
         """The factor split under config's rank rule, made on first use."""
-        key = (config.effective_rank(), config.max_rank)
+        key = config.effective_rank()
         if key not in self._splits:
-            d = decompose(self.x, *key)
+            d = decompose(self.x, key)
             y_tilde = residualize(self.y, d)
             # every fit of this dataset shares the split, so none may write to it
             for a in (d.factors, d.loadings, d.idiosyncratic, d.gram_eigenvalues, y_tilde):
@@ -142,28 +142,15 @@ class TransferConfig:
 
     lambda_c: float = DEFAULT_LAMBDA_C
     rank: int | None = None
-    max_rank: int | None = None
     mode: str = MODE_FARM
     folds: int = 3
     eps0: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, {"lambda_c": 0, "rank": 0, "folds": 2, "eps0": 0, "seed": 0})
         if self.mode not in (MODE_FARM, MODE_LASSO):
             raise ValueError(f"mode must be '{MODE_FARM}' or '{MODE_LASSO}', got {self.mode!r}")
-        if self.eps0 is not None and self.eps0 < 0:
-            raise ValueError(f"eps0 must be nonnegative, got {self.eps0}")
-        if self.rank is not None and self.rank < 0:
-            raise ValueError(f"rank must be nonnegative, got {self.rank}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be at least 2, got {self.folds}")
-        if self.lambda_c < 0:
-            raise ValueError(f"lambda_c must be nonnegative, got {self.lambda_c}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError(f"max_rank must be at least 1, got {self.max_rank}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def effective_rank(self) -> int | None:
         # Plain-lasso mode strips the factor step entirely.

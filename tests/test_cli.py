@@ -101,10 +101,12 @@ def test_write_dataset_matches_per_cell_format(tmp_path):
 
 @pytest.mark.parametrize(
     "rows, names, message",
-    [(4, None, "x has 4 rows but y has 3"), (3, ["a", "b", "c", "d"], "4 feature names for 3 columns")],
+    [(4, None, "x has 4 rows but y has 3"), (3, ["a", "b", "c", "d"], "4 feature names for 3 columns"),
+     (3, ["a", "y", "c"], "feature name 'y' is also the response column"),
+     (3, ["a", "b", " y "], "feature name 'y' is also the response column")],
 )
 def test_write_dataset_rejects_mismatched_shapes(tmp_path, rows, names, message):
-    # either mismatch would write a file that reads back wrong or not at all
+    # each mismatch would write a file that reads back wrong or not at all
     path = tmp_path / "d.csv"
     with pytest.raises(ValueError, match=message):
         write_dataset(str(path), np.ones((rows, 3)), np.ones(3), feature_names=names)
@@ -416,7 +418,6 @@ SIM_FLAG_VALUES = {
     "replications": ("2", 2),
     "roster": ("only-FARM,Trans-Lasso", ("only-FARM", "Trans-Lasso")),
     "fix_rank": ("true", True),
-    "max_rank": ("3", 3),
     "redraw_informative": ("false", False),
 }
 
@@ -617,24 +618,24 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--sim-roster", ""], "roster must name at least one estimator"),
         (["simulate", "--threads", "-3"], "threads must be at least 1, got -3"),
         (["simulate", "--folds", "1"], "folds must be at least 2, got 1"),
-        (["simulate", "--lambda-c", "-1"], "lambda_c must be nonnegative, got -1.0"),
-        (["simulate", "--sim-max-rank", "0"], "max_rank must be at least 1, got 0"),
+        (["simulate", "--lambda-c", "-1"], "lambda_c must be at least 0, got -1.0"),
+        (["simulate", "--sim-max-rank", "3"], "unrecognized arguments: --sim-max-rank 3"),
         (["simulate", "--sim-nk", "1"], "nk must be at least 2, got 1"),
         (["simulate", "--sim-s", "-1"], "s must be at least 0, got -1"),
         (["simulate", "--sim-rho", "1"], "rho must lie in [0, 1), got 1.0"),
         (["simulate", "--sim-gamma0", "nan,0.5"], "gamma0 must be finite"),
         *(
             ([command, "--target", "{t}", "--source", "{s}", "--seed", "-1"],
-             "seed must be nonnegative, got -1")
+             "seed must be at least 0, got -1")
             for command in ("fit", "detect", "transfer", "infer")
         ),
         (["simulate", "--seed", "-1"], "base_seed must be at least 0, got -1"),
         (["simulate", "--sim-n0", "5"], "detection with folds = 3 needs n0 >= 6, got n0 = 5"),
         (["fit", "--target", "{t}", "--mode", "bogus"], "mode must be 'farm' or 'lasso', got 'bogus'"),
-        (["detect", "--target", "{t}", "--rank", "-1"], "rank must be nonnegative, got -1"),
+        (["detect", "--target", "{t}", "--rank", "-1"], "rank must be at least 0, got -1"),
         (["transfer", "--target", "{t}", "--threshold", "eps0:-1"],
-         "eps0 must be nonnegative, got -1.0"),
-        (["simulate", "--threshold", "eps0:-1"], "eps0 must be nonnegative, got -1.0"),
+         "eps0 must be at least 0, got -1.0"),
+        (["simulate", "--threshold", "eps0:-1"], "eps0 must be at least 0, got -1.0"),
         (["simulate", "--sim-rank", "3", "--sim-gamma0", "0.5,0.5"],
          "gamma0 has length 2, expected rank 3"),
         # a bad flag value exits before any CSV is read: these targets do not exist

@@ -1,5 +1,7 @@
 """Eigensolver contract, RNG streams, and gaussian sampling."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 from _oracles import charpoly_eig, fix_sign
 from transfarm.numerics import (
     RngStream,
+    check_fields,
     correlated_normal,
     sym_eig,
     toeplitz_correlation,
@@ -152,3 +155,28 @@ def test_degenerate_covariance_rejected():
     singular = np.ones((3, 3))
     with pytest.raises((ValueError, np.linalg.LinAlgError)):
         correlated_normal(RngStream(0), 10, singular)
+
+
+@dataclass
+class Knobs:
+    # annotations as text, as in a module that postpones them
+    count: "int" = 1
+    scale: "float | None" = None
+    sizes: "tuple[int, ...]" = ()
+
+
+def test_check_fields_bounds_each_field_by_its_table():
+    check_fields(Knobs(), {"count": 1, "scale": 0.0})
+    check_fields(Knobs(count=np.int8(1), scale=0.0), {"count": 1, "scale": 0.0})
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+        check_fields(Knobs(count=0), {"count": 1})
+    with pytest.raises(ValueError, match="scale must be at least 0.0, got -0.5"):
+        check_fields(Knobs(scale=-0.5), {"scale": 0.0})
+    # a field without a bound takes any value of its type
+    check_fields(Knobs(count=-7, scale=-0.5), {})
+    # a tuple's entries are checked as its annotation names them
+    with pytest.raises(ValueError, match="sizes must be an integer, got 1.5"):
+        check_fields(Knobs(sizes=(1, 1.5)), {})
+    # a misspelt bound would never apply; it fails even on good values
+    with pytest.raises(TypeError, match=r"Knobs has no fields \['cuont'\]"):
+        check_fields(Knobs(), {"count": 1, "cuont": 1})

@@ -383,7 +383,7 @@ def test_config_validation():
     # an explicit gamma0 is never widened, even when it is the default value
     with pytest.raises(ValueError, match="gamma0 has length 2, expected rank 3"):
         SimConfig(rank=3, gamma0=(0.5, 0.5))
-    with pytest.raises(ValueError, match="replications"):
+    with pytest.raises(ValueError, match="replications must be at least 1, got 0"):
         tiny_config(replications=0)
     with pytest.raises(ValueError, match="unknown estimators"):
         tiny_config(roster=("only-FARM", "ridge"))
@@ -416,10 +416,24 @@ def test_config_validation():
             tiny_config(n0=5, s=2, roster=("only-FARM", name))
     # a non-integer would fail inside a replication, unnamed; a bool would pass
     for name, value in [("p", 50.5), ("replications", 1.5), ("k_sources", 2.0), ("n0", True),
-                        ("folds", 2.5), ("max_rank", 2.0), ("base_seed", "1")]:
+                        ("folds", 2.5), ("base_seed", "1")]:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             tiny_config(**{name: value})
-    assert tiny_config(p=np.int64(30), max_rank=np.int32(3)).p == 30
+    assert tiny_config(p=np.int64(30), replications=np.int32(3)).p == 30
+    # a string raised an unnamed TypeError, a bool passed as 0 or 1; a str
+    # roster was read letter by letter and a scalar gamma0 was not iterable
+    for name, value, message in [
+        ("eta", "5", "eta must be a number, got '5'"),
+        ("signal", True, "signal must be a number, got True"),
+        ("eps0", "1", "eps0 must be a number, got '1'"),
+        ("gamma0", (0.5, "0.5"), "gamma0 must be a number, got '0.5'"),
+        ("roster", "only-FARM", "roster must be a tuple, got 'only-FARM'"),
+        ("gamma0", 0.5, "gamma0 must be a tuple, got 0.5"),
+        ("gamma0", [0.5, 0.5], "gamma0 must be a tuple, got [0.5, 0.5]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**{name: value})
+    assert tiny_config(eta=2, gamma0=(1, np.float64(0.5))).gamma0 == (1, 0.5)
     # a truthy string such as "false" ran with the true rank
     for name in ("fix_rank", "redraw_informative"):
         for value in ("false", 0.0, 2, None):

@@ -186,18 +186,24 @@ def test_config_validation():
         TransferConfig(mode="ridge")
     with pytest.raises(ValueError):
         TransferConfig(folds=1)
-    with pytest.raises(ValueError, match="eps0 must be nonnegative, got -0.1"):
+    with pytest.raises(ValueError, match="eps0 must be at least 0, got -0.1"):
         TransferConfig(eps0=-0.1)
-    with pytest.raises(ValueError, match="rank must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="rank must be at least 0, got -1"):
         TransferConfig(rank=-1)
-    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         TransferConfig(seed=-1)
     # a non-integer would fail late, unnamed; a bool would pass as 0 or 1
     for name, value in [("rank", 1.5), ("rank", True), ("folds", 2.5), ("folds", 3.0),
-                        ("max_rank", 2.5), ("seed", 1.5), ("seed", "1")]:
+                        ("seed", 1.5), ("seed", "1")]:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             TransferConfig(**{name: value})
     assert TransferConfig(rank=np.int64(1), folds=np.int32(4), seed=np.uint8(2)).folds == 4
+    # a bool fitted as 0 or 1; a string failed late, unnamed
+    for name, value in [("lambda_c", True), ("lambda_c", np.True_), ("lambda_c", "0.8"),
+                        ("eps0", False), ("eps0", "1")]:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            TransferConfig(**{name: value})
+    assert TransferConfig(lambda_c=1, eps0=np.float32(0.5)).lambda_c == 1
     assert TransferConfig(mode="lasso", rank=4).effective_rank() == 0
 
 
