@@ -47,7 +47,8 @@ def ingest_dataset(path: str, response: str = "y"):
     """Read a header CSV into (x, y, feature_names).
 
     The response column is removed from the design; remaining columns
-    keep file order.  One np.loadtxt call parses the data rows.  Where it
+    keep file order.  Header cells and response are compared with outer
+    blanks stripped.  One np.loadtxt call parses the data rows.  Where it
     refuses the file, or its array fails a check (_load_table), the row
     loop (_read_rows) reads the file again: it takes every float()
     spelling and reports precise cell coordinates on parse failures
@@ -65,6 +66,7 @@ def ingest_dataset(path: str, response: str = "y"):
         if header:
             header[0] = header[0].removeprefix("\ufeff")
         header = [h.strip() for h in header]
+        response = response.strip()
         hits = [i for i, h in enumerate(header) if h == response]
         if not hits:
             raise UsageError(f"{path}: response column {response!r} not found")
@@ -158,24 +160,17 @@ def _write_csv(path: str, header: list[str], rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def write_dataset(path: str, x: np.ndarray, y: np.ndarray, response: str = "y",
-                  feature_names: list[str] | None = None):
-    """Emit a dataset as a header CSV that ingest_dataset reads back."""
+def write_dataset(path: str, x: np.ndarray, y: np.ndarray):
+    """Emit a dataset as a CSV with header y,x1,...,xp that ingest_dataset
+    reads back."""
     x = check_matrix(x, "x")
     y = check_vector(y, "y")
     if y.size != x.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.size}")
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(x.shape[1])]
-    if len(feature_names) != x.shape[1]:
-        raise ValueError(f"{len(feature_names)} feature names for {x.shape[1]} columns")
-    # ingest_dataset strips each header cell before it looks for the response
-    if response in (name.strip() for name in feature_names):
-        raise ValueError(f"feature name {response!r} is also the response column")
     # '%.17g' % v gives the bytes _fmt gives a float: one formatter serves both
     line = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([response] + feature_names)
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(x.shape[1])]) + "\n")
         for y_i, x_i in zip(y.tolist(), x):
             fh.write(line % (y_i, *x_i.tolist()))
 

@@ -35,14 +35,12 @@ class InferenceResult:
     reject is None when the result carries intervals only.  The
     studentized half-width obeys
     half = sqrt(theta_diag[i]) * quantile / sqrt(n) coordinatewise.
+    Inputs are not echoed; full_inference's noise scale is its fit's
+    TransferFit.sigma_hat.
     """
 
     beta_tilde: np.ndarray
-    sigma_hat: float
     group: tuple[int, ...]
-    alpha: float
-    draws: int
-    studentized: bool
     quantile: float
     statistic: float
     reject: bool | None
@@ -205,11 +203,7 @@ def simultaneous_cis(
     statistic = math.sqrt(n) * float(np.max(np.abs(beta_tilde)))
     return InferenceResult(
         beta_tilde=beta_tilde,
-        sigma_hat=float(sigma_hat),
         group=g,
-        alpha=alpha,
-        draws=draws,
-        studentized=studentized,
         quantile=crit,
         statistic=statistic,
         reject=None,

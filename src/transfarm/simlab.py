@@ -54,7 +54,7 @@ ALL_ESTIMATORS = FARM_ESTIMATORS + LASSO_ESTIMATORS
 FAILURE_BUDGET = 0.2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Design of one Monte-Carlo cell.
 
@@ -66,7 +66,9 @@ class SimConfig:
     subset each replication; otherwise one subset is drawn per
     experiment.  gamma0 = None is 0.5 per factor, (0.5,) * rank; an
     explicit gamma0 must have one entry per factor.  eps0 is
-    TransferConfig's detection slack (None for the "2L0" rule).
+    TransferConfig's detection slack (None for the "2L0" rule).  Fields
+    are checked at construction and cannot be assigned after it;
+    `dataclasses.replace` makes a checked variant.
     """
 
     n0: int = 300
@@ -106,7 +108,7 @@ class SimConfig:
                 f"a_size must lie in [0, {self.k_sources}], got {self.a_size}"
             )
         if self.gamma0 is None:
-            self.gamma0 = (0.5,) * self.rank
+            object.__setattr__(self, "gamma0", (0.5,) * self.rank)
         if len(self.gamma0) != self.rank:
             raise ValueError(
                 f"gamma0 has length {len(self.gamma0)}, expected rank {self.rank}"
@@ -203,14 +205,14 @@ def generate(
     """Draw one replication of the design.
 
     informative overrides the random informative subset (1-based source
-    positions); by default a_size sources are chosen uniformly without
-    replacement from substream (1, 0).
+    positions, a repeat counted once); by default a_size sources are
+    chosen uniformly without replacement from substream (1, 0).
     """
     p, r = config.p, config.rank
     if informative is None:
         informative = _draw_informative(config, rng.generator(1, 0))
     else:
-        informative = tuple(sorted(check_indices(informative, "informative")))
+        informative = tuple(sorted(set(check_indices(informative, "informative"))))
         if len(informative) != config.a_size:
             raise ValueError(
                 f"informative has {len(informative)} entries, expected {config.a_size}"

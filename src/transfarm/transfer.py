@@ -172,7 +172,6 @@ class TransferFit:
     lambda_pooled: float
     lambda_correction: float
     sigma_hat: float
-    mode: str
     decompositions: dict[int, FactorDecomposition] = field(repr=False, default_factory=dict)
 
 
@@ -184,14 +183,13 @@ class DetectionReport:
     held-out losses on fold r that target_loss and source_losses average.
     margins[k - 1] is the cutoff target_loss + threshold minus source k's
     loss, so source k is selected exactly when its margin is nonnegative.
+    The fold count and fold seed are the config's folds and seed.
     """
 
     source_losses: np.ndarray
     target_loss: float
     threshold: float
     selected: tuple[int, ...]
-    folds: int
-    seed: int
     sigma_hat: float
     fold_target_losses: np.ndarray
     fold_source_losses: np.ndarray
@@ -277,7 +275,6 @@ def two_step_fit(
         lambda_pooled=lam_pooled,
         lambda_correction=lam_corr,
         sigma_hat=sigma,
-        mode=config.mode,
         decompositions={k: s.decomposition for k, s in splits.items()},
     )
 
@@ -390,8 +387,6 @@ def detect_sources(
         target_loss=target_loss,
         threshold=slack,
         selected=tuple(selected),
-        folds=config.folds,
-        seed=config.seed,
         sigma_hat=sigma,
         fold_target_losses=losses[:, 0].copy(),
         fold_source_losses=losses[:, 1:].copy(),

@@ -63,10 +63,12 @@ def test_ingest_roundtrip_is_exact(tmp_path):
     x = gen.standard_normal((7, 4)) / 3.0
     y = gen.standard_normal(7) * 1e-7
     path = str(tmp_path / "d.csv")
-    write_dataset(path, x, y, feature_names=["a", "b", "c", "d"])
-    x2, y2, names = ingest_dataset(path)
-    assert np.array_equal(x, x2) and np.array_equal(y, y2)
-    assert names == ["a", "b", "c", "d"]
+    write_dataset(path, x, y)
+    # the response is stripped like the header cells; " y" was never found
+    for response in ("y", " y", "y\t"):
+        x2, y2, names = ingest_dataset(path, response)
+        assert np.array_equal(x, x2) and np.array_equal(y, y2)
+        assert names == ["x1", "x2", "x3", "x4"]
 
 
 BOM = "\ufeff".encode()  # Excel's "CSV UTF-8" export starts the file with it
@@ -99,17 +101,11 @@ def test_write_dataset_matches_per_cell_format(tmp_path):
     assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize(
-    "rows, names, message",
-    [(4, None, "x has 4 rows but y has 3"), (3, ["a", "b", "c", "d"], "4 feature names for 3 columns"),
-     (3, ["a", "y", "c"], "feature name 'y' is also the response column"),
-     (3, ["a", "b", " y "], "feature name 'y' is also the response column")],
-)
-def test_write_dataset_rejects_mismatched_shapes(tmp_path, rows, names, message):
-    # each mismatch would write a file that reads back wrong or not at all
+def test_write_dataset_rejects_mismatched_shapes(tmp_path):
+    # the file would read back with rows cut or not at all
     path = tmp_path / "d.csv"
-    with pytest.raises(ValueError, match=message):
-        write_dataset(str(path), np.ones((rows, 3)), np.ones(3), feature_names=names)
+    with pytest.raises(ValueError, match="x has 4 rows but y has 3"):
+        write_dataset(str(path), np.ones((4, 3)), np.ones(3))
     assert not path.exists()
 
 

@@ -1,7 +1,7 @@
 """Tests for the Monte-Carlo generator and experiment runner."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -122,6 +122,12 @@ def test_informative_override_is_respected_and_checked():
         generate(cfg, RngStream(0, 0, (0, 0)), informative=(0, 2))
     with pytest.raises(ValueError):
         generate(cfg, RngStream(0, 0, (0, 0)), informative=(2, 4))
+    # a repeat counts once: (1, 1) was kept as given, naming source 1 twice
+    # while only one source was drawn informative
+    with pytest.raises(ValueError, match="informative has 1 entries, expected 2"):
+        generate(cfg, RngStream(0, 0, (0, 0)), informative=(1, 1))
+    _, _, truth = generate(cfg, RngStream(0, 0, (0, 0)), informative=(3, 1, 3))
+    assert truth.informative == (1, 3)
 
 
 @pytest.mark.parametrize("bad", [1.5, 3.0, np.float64(3.0), True, np.bool_(True)])
@@ -358,9 +364,9 @@ def test_detection_seed_is_stable_per_replication():
 
 def test_replication_runner_reports_failures_as_data():
     # five target rows cannot host three detection folds; SimConfig refuses
-    # such a design, so n0 is set after construction to reach the fit
+    # such a design, so n0 is forced past the frozen check to reach the fit
     bad = tiny_config(s=2, roster=("Trans-FARM",))
-    bad.n0 = 5
+    object.__setattr__(bad, "n0", 5)
     rows, _, failures = _run_replication(bad, 0, None)
     assert rows == [] and len(failures) == 1
     assert failures[0][1] == "Trans-FARM"
@@ -368,9 +374,24 @@ def test_replication_runner_reports_failures_as_data():
 
 def test_failure_budget_aborts_experiment():
     bad = tiny_config(s=2, roster=("Trans-FARM",), replications=2)
-    bad.n0 = 5  # past SimConfig's check, so every detection fails
+    object.__setattr__(bad, "n0", 5)  # past SimConfig's check, so every detection fails
     with pytest.raises(RuntimeError, match="estimator runs failed"):
         run_experiment(bad)
+
+
+def test_config_fields_cannot_be_assigned():
+    # roster = "only-FARM" after construction ran 9 estimators named by letters,
+    # and replications = 0 returned an empty result
+    config = tiny_config()
+    for name, value in [("roster", "only-FARM"), ("replications", 0)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
+    assert config.roster == ALL_ESTIMATORS and config.replications == 30
+    assert replace(config, roster=("only-FARM",)).roster == ("only-FARM",)
+    with pytest.raises(ValueError, match="replications must be at least 1, got 0"):
+        replace(config, replications=0)
+    with pytest.raises(ValueError, match="roster must be a tuple"):
+        replace(config, roster="only-FARM")
 
 
 def test_config_validation():
