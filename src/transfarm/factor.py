@@ -26,9 +26,14 @@ MAX_RANK_CAP = 15
 class FactorDecomposition:
     """Split of a design matrix into common and idiosyncratic parts.
 
-    factors has unit-scaled columns (factors.T @ factors / n = I), the
-    loadings satisfy loadings = x.T @ factors / n, and idiosyncratic is
-    the residual, so x = factors @ loadings.T + idiosyncratic exactly.
+    The split is kept in factored form: the rank-r factors and loadings
+    and a read-only view of the design x it split, so it holds (n + p) * r
+    doubles beside x.  factors has unit-scaled columns
+    (factors.T @ factors / n = I) and the loadings satisfy
+    loadings = x.T @ factors / n.  idiosyncratic is the residual
+    x - factors @ loadings.T, re-formed from x on each read as a
+    read-only n x p array; at rank 0 it is the view of x itself, with no
+    copy.  x must therefore not change while the split is in use.
     gram_eigenvalues is the descending spectrum of x @ x.T; it is empty
     for a split at a fixed rank 0, which never forms the Gram.
     """
@@ -36,12 +41,20 @@ class FactorDecomposition:
     rank: int
     factors: np.ndarray
     loadings: np.ndarray
-    idiosyncratic: np.ndarray
+    x: np.ndarray
     gram_eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
         return self.factors.shape[0]
+
+    @property
+    def idiosyncratic(self) -> np.ndarray:
+        if not self.rank:
+            return self.x
+        u = self.x - self.factors @ self.loadings.T
+        u.flags.writeable = False
+        return u
 
 
 def default_max_rank(n: int) -> int:
@@ -76,7 +89,10 @@ def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
 
     rank = None picks the factor count by the eigenvalue-ratio rule over
     at most min(min(n, p) // 2, 15) candidates; rank = 0 is a valid
-    degenerate split with empty factors and idiosyncratic = x.
+    degenerate split with empty factors whose idiosyncratic block is a
+    read-only view of x.  The split stores the factors, the loadings and
+    that view, not the n x p idiosyncratic block, which it re-forms from
+    x on each read; so x must not be modified while the split is used.
     """
     x = check_matrix(x, "x")
     n, p = x.shape
@@ -102,12 +118,13 @@ def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
 
     factors = np.sqrt(n) * eig.eigenvectors[:, :rank]
     loadings = x.T @ factors / n
-    idiosyncratic = x - factors @ loadings.T
+    view = x.view()
+    view.flags.writeable = False
     return FactorDecomposition(
         rank=rank,
         factors=factors,
         loadings=loadings,
-        idiosyncratic=idiosyncratic,
+        x=view,
         gram_eigenvalues=gram_eigenvalues,
     )
 

@@ -64,8 +64,9 @@ class SimConfig:
     passes the true rank to every estimator instead of the
     eigenvalue-ratio choice.  redraw_informative redraws the informative
     subset each replication; otherwise one subset is drawn per
-    experiment.  gamma0 = None is 0.5 per factor, (0.5,) * rank; an
-    explicit gamma0 must have one entry per factor.  eps0 is
+    experiment.  gamma0 = None stays None and is read as 0.5 per
+    factor, (0.5,) * rank, so a variant at another rank keeps the
+    default; an explicit gamma0 must have one entry per factor.  eps0 is
     TransferConfig's detection slack (None for the "2L0" rule).  Fields
     are checked at construction and cannot be assigned after it;
     `dataclasses.replace` makes a checked variant.
@@ -107,9 +108,7 @@ class SimConfig:
             raise ValueError(
                 f"a_size must lie in [0, {self.k_sources}], got {self.a_size}"
             )
-        if self.gamma0 is None:
-            object.__setattr__(self, "gamma0", (0.5,) * self.rank)
-        if len(self.gamma0) != self.rank:
+        if self.gamma0 is not None and len(self.gamma0) != self.rank:
             raise ValueError(
                 f"gamma0 has length {len(self.gamma0)}, expected rank {self.rank}"
             )
@@ -222,7 +221,8 @@ def generate(
 
     beta = np.zeros(p)
     beta[: config.s] = config.signal
-    gamma = np.asarray(config.gamma0, dtype=np.float64)
+    gamma0 = (0.5,) * r if config.gamma0 is None else config.gamma0
+    gamma = np.asarray(gamma0, dtype=np.float64)
     cov0 = toeplitz_correlation(config.rho, p)
 
     datasets: list[Dataset] = []

@@ -62,7 +62,8 @@ class DatasetSplit:
 
     @property
     def block(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (idiosyncratic part, y_tilde) pair every Lasso here fits on."""
+        """The (idiosyncratic part, y_tilde) pair every Lasso here fits on;
+        the first is re-formed from the dataset's x on each read."""
         return self.decomposition.idiosyncratic, self.y_tilde
 
     @cached_property
@@ -87,7 +88,8 @@ class Dataset:
 
     x and y must not be modified after construction: split() memoises
     the factor split of each rank rule on the dataset, so detection,
-    fitting and inference all reuse one split per dataset and mode.
+    fitting and inference all reuse one split per dataset and mode, and
+    every read of a split's block re-forms its idiosyncratic part from x.
     """
 
     x: np.ndarray
@@ -119,7 +121,7 @@ class Dataset:
             d = decompose(self.x, key)
             y_tilde = residualize(self.y, d)
             # every fit of this dataset shares the split, so none may write to it
-            for a in (d.factors, d.loadings, d.idiosyncratic, d.gram_eigenvalues, y_tilde):
+            for a in (d.factors, d.loadings, d.gram_eigenvalues, y_tilde):
                 a.flags.writeable = False
             self._splits[key] = DatasetSplit(d, y_tilde)
         return self._splits[key]

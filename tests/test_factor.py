@@ -148,6 +148,27 @@ def test_scale_equivariance():
     assert_allclose(scaled.idiosyncratic, 2.0 * base.idiosyncratic, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "n, p, rank",
+    [(20, 50, 2), (60, 12, 3), (20, 50, None), (60, 12, None), (20, 50, 0), (60, 12, 0)],
+)
+def test_split_is_kept_in_factored_form(n, p, rank):
+    x = factor_data(n, p, 2, 21)
+    d = decompose(x, rank)
+    u = d.idiosyncratic
+    # re-formed on read by the expression the split defines
+    assert u.tobytes() == (x - d.factors @ d.loadings.T).tobytes()
+    assert not u.flags.writeable
+    assert not d.x.flags.writeable and np.shares_memory(d.x, x)
+    assert np.shares_memory(u, x) == (d.rank == 0)
+    # only the design itself is held at n x p
+    big = [
+        name for name, value in vars(d).items()
+        if isinstance(value, np.ndarray) and value.size == n * p
+    ]
+    assert big == ["x"]
+
+
 def test_rank_bounds_checked():
     x = factor_data(10, 6, 1, 0)
     with pytest.raises(ValueError):

@@ -75,7 +75,7 @@ def test_generate_shapes_and_truth_fields():
     # sparse coefficient: first s entries at the signal level, rest zero
     assert np.array_equal(truth.beta[: cfg.s], np.full(cfg.s, cfg.signal))
     assert not truth.beta[cfg.s :].any()
-    assert np.array_equal(truth.gamma, np.asarray(cfg.gamma0))
+    assert truth.gamma.tobytes() == np.full(cfg.rank, 0.5).tobytes()
     assert len(truth.source_coefs) == cfg.k_sources
     assert len(truth.source_gammas) == cfg.k_sources
 
@@ -468,8 +468,19 @@ def test_config_validation():
 
 
 def test_stock_gamma0_follows_rank():
-    # gamma0 = None is 0.5 per factor, as `simulate --sim-rank` alone gives
-    assert SimConfig(rank=3).gamma0 == (0.5,) * 3
-    assert SimConfig(rank=1).gamma0 == (0.5,)
-    assert SimConfig().gamma0 == (0.5, 0.5)
-    assert SimConfig(rank=0).gamma0 == ()
+    # gamma0 = None stays None and generate reads it as 0.5 per factor,
+    # as `simulate --sim-rank` alone gives
+    for rank in (0, 1, 3):
+        cfg = tiny_config(rank=rank)
+        assert cfg.gamma0 is None
+        _, _, truth = generate(cfg, RngStream(3, 0, (0, 0)))
+        assert truth.gamma.tobytes() == np.array((0.5,) * rank).tobytes()
+
+
+def test_replace_varies_rank_under_the_default_gamma0():
+    # a filled-in default would pin the length to the first rank
+    assert replace(SimConfig(), rank=3) == SimConfig(rank=3)
+    assert replace(tiny_config(rank=0), rank=1).gamma0 is None
+    # an explicit gamma0 is still checked against the new rank
+    with pytest.raises(ValueError, match="gamma0 has length 3, expected rank 2"):
+        replace(SimConfig(rank=3, gamma0=(0.5, 0.5, 0.5)), rank=2)

@@ -462,10 +462,15 @@ def test_kept_subset_equals_a_fresh_subset_run(monkeypatch):
     fit, report = detect_and_fit(target, sources, config)
     assert report.selected == (1, 3)
     # detection: the folds' training pieces, the target's full piece and each
-    # source's piece; the fit: only the target's piece, for its correction step
+    # source's piece; the fit: only the target's piece, for its correction step.
+    # Each read re-forms a block, so blocks match by shape and bytes; the fold
+    # pieces have fewer rows and match none.
     blocks = [d.split(config).decomposition.idiosyncratic for d in [target, *sources]]
     assert len(designs) == config.folds + 1 + len(sources) + 1
-    assert [sum(z is b for z in designs) for b in blocks] == [2, 1, 1, 1]
+    assert [
+        sum(z.shape == b.shape and z.tobytes() == b.tobytes() for z in designs)
+        for b in blocks
+    ] == [2, 1, 1, 1]
     new_target, *new_sources = fresh([target, *sources])
     assert_same_fit(fit, two_step_fit(new_target, new_sources, (1, 3), config))
 
