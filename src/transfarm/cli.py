@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: fit, detect, transfer, infer, simulate.  Options can come
-from a flat key = value config file (--config); explicit flags win over
-file values, which win over defaults.  All numeric output is written
-with 17 significant digits so files round-trip exactly, and every
-command is deterministic given the same inputs and --seed.
+Subcommands: fit, detect, transfer, infer, simulate, one row each of
+_COMMANDS.  The pipeline options are built from TransferConfig's fields,
+the sim_ options from SimConfig's, and infer's defaults are
+full_inference's.  Options can come from a flat key = value config file
+(--config); explicit flags win over file values, which win over
+defaults.  All numeric output is written with 17 significant digits so
+files round-trip exactly, and every command is deterministic given the
+same inputs and --seed.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
@@ -15,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import math
 import os
 import sys
@@ -44,7 +48,7 @@ class UsageError(Exception):
 
 
 def ingest_dataset(path: str, response: str = "y"):
-    """Read a header CSV into (x, y, feature_names).
+    """Read a header CSV into (x, y).
 
     The response column is removed from the design; remaining columns
     keep file order.  Header cells and response are compared with outer
@@ -73,8 +77,7 @@ def ingest_dataset(path: str, response: str = "y"):
         if len(hits) > 1:
             raise UsageError(f"{path}: response column {response!r} appears twice")
         y_col = hits[0]
-        feature_names = [h for i, h in enumerate(header) if i != y_col]
-        if not feature_names:
+        if len(header) < 2:
             raise UsageError(f"{path}: no feature columns besides {response!r}")
         table = _load_table(fh.readlines(), len(header))
         if table is None:
@@ -82,7 +85,7 @@ def ingest_dataset(path: str, response: str = "y"):
             fh.seek(0)
             next(reader)
             table = _read_rows(path, header, reader)
-    return np.delete(table, y_col, axis=1), table[:, y_col].copy(), feature_names
+    return np.delete(table, y_col, axis=1), table[:, y_col].copy()
 
 
 @contextlib.contextmanager
@@ -271,33 +274,8 @@ def _c_str_list(key, raw):
     return tuple(tok.strip() for tok in str(raw).split(",") if tok.strip() != "")
 
 
-_SHARED = [
-    ("seed", 0, _c_int),
-    ("out", ".", _c_str),
-    ("threads", os.cpu_count() or 1, _c_positive_int),
-]
-# pipeline defaults are TransferConfig's, typed as their converters return
-# them; the configs, not the converters, check the values
-_DATA = [
-    ("target", None, _c_str),
-    ("source", (), _c_str_list),
-    ("response", "y", _c_str),
-    ("rank", TransferConfig.rank, _c_rank),
-    ("lambda_c", TransferConfig.lambda_c, _c_float),
-    ("folds", TransferConfig.folds, _c_int),
-    ("threshold", TransferConfig.eps0, _c_threshold),
-    ("mode", TransferConfig.mode, _c_mode),
-]
-_INFER = [
-    ("alpha", 0.05, _c_float),
-    ("B", 500, _c_int),
-    ("group", "all", _c_group),
-    ("studentized", "true", _c_bool),
-]
-# SimConfig fields that are set from shared flags, not from a sim_ flag
-_SIM_SHARED = ("base_seed", "lambda_c", "folds", "eps0")
-# keyed by annotation text: simlab postpones annotations, so field.type is a string
-_SIM_CONVERTERS = {
+# keyed by annotation text: the configs postpone annotations, so field.type is a string
+_CONVERTERS = {
     "int": _c_int,
     "float": _c_float,
     "bool": _c_bool,
@@ -305,26 +283,61 @@ _SIM_CONVERTERS = {
     "tuple[str, ...]": _c_str_list,
 }
 
+# an option row is (config key, default, converter); its flag is the key
+# with dashes for underscores.  Defaults are typed as the converters
+# return them, and the configs, not the converters, check the values.
+_SHARED = [
+    ("out", ".", _c_str),
+    ("threads", os.cpu_count() or 1, _c_positive_int),
+]
+# TransferConfig fields whose flag has its own name or syntax
+_PIPELINE_SYNTAX = {
+    "rank": ("rank", _c_rank),
+    "mode": ("mode", _c_mode),
+    "eps0": ("threshold", _c_threshold),
+}
+
+
+def _pipeline_option(f):
+    key, conv = _PIPELINE_SYNTAX.get(f.name) or (f.name, _CONVERTERS[f.type])
+    return key, f.default, conv
+
+
+# TransferConfig field -> the row of its flag
+_PIPELINE = {f.name: _pipeline_option(f) for f in dataclasses.fields(TransferConfig)}
+_DATA = _SHARED + [
+    ("target", None, _c_str),
+    ("source", (), _c_str_list),
+    ("response", "y", _c_str),
+    *_PIPELINE.values(),
+]
+# full_inference parameter -> (key, converter); the defaults are its own,
+# and group = None, every column, is spelled "all"
+_INFER_PARAMS = {
+    "alpha": ("alpha", _c_float),
+    "draws": ("B", _c_int),
+    "group": ("group", _c_group),
+    "studentized": ("studentized", _c_bool),
+}
+_INFER = [
+    (key, inspect.signature(full_inference).parameters[name].default, conv)
+    for name, (key, conv) in _INFER_PARAMS.items()
+]
+# SimConfig fields set from a pipeline flag, not from a sim_ flag, named
+# and not matched: SimConfig.rank is the design's rank, not the rank rule
+_SIM_SHARED = {"base_seed": "seed", "lambda_c": "lambda_c", "folds": "folds", "eps0": "threshold"}
+
 
 def _sim_option(f):
     if f.name == "a_size":
         # a list of sizes, one SimConfig per value
         return ("sim_a_size", (f.default,), _c_int_list)
-    return ("sim_" + f.name, f.default, _SIM_CONVERTERS[f.type])
+    return ("sim_" + f.name, f.default, _CONVERTERS[f.type])
 
 
-_SIM_FIELDS = [f for f in dataclasses.fields(SimConfig) if f.name not in _SIM_SHARED]
-_SIM = [_sim_option(f) for f in _SIM_FIELDS] + [
-    entry for entry in _DATA if entry[0] in ("lambda_c", "folds", "threshold")
-]
-
-_COMMAND_SPECS = {
-    "fit": _SHARED + _DATA,
-    "detect": _SHARED + _DATA,
-    "transfer": _SHARED + _DATA,
-    "infer": _SHARED + _DATA + _INFER,
-    "simulate": _SHARED + _SIM,
-}
+_SIM = _SHARED + [
+    _sim_option(f) for f in dataclasses.fields(SimConfig) if f.name not in _SIM_SHARED
+] + [row for row in _PIPELINE.values() if row[0] in _SIM_SHARED.values()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,11 +349,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="transfarm", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     sub.required = True
-    for name, spec in _COMMAND_SPECS.items():
+    for name, (options, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config")
-        for key, _, _ in spec:
-            flag = "--" + key.replace("_", "-") if key != "B" else "--B"
+        for key, _, _ in options:
+            flag = "--" + key.replace("_", "-")
             if key == "source":
                 p.add_argument(flag, action="append", default=None, dest=key)
             else:
@@ -371,14 +384,13 @@ def _read_config_file(path: str, allowed: set[str]) -> dict[str, str]:
     return out
 
 
-def _merge(args: argparse.Namespace, command: str) -> dict:
-    spec = _COMMAND_SPECS[command]
-    allowed = {key for key, _, _ in spec}
+def _merge(args: argparse.Namespace, options: list) -> dict:
+    allowed = {key for key, _, _ in options}
     file_values = {}
     if args.config is not None:
         file_values = _read_config_file(args.config, allowed)
     merged = {}
-    for key, default, conv in spec:
+    for key, default, conv in options:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             raw = flag_value
@@ -401,12 +413,8 @@ def _load_datasets(m: dict):
     # before any CSV is read
     if not m["target"]:
         raise UsageError("--target is required")
-    x, y, _ = ingest_dataset(m["target"], m["response"])
-    target = Dataset(x=x, y=y)
-    sources = []
-    for path in m["source"]:
-        sx, sy, _ = ingest_dataset(path, m["response"])
-        sources.append(Dataset(x=sx, y=sy))
+    target = Dataset(*ingest_dataset(m["target"], m["response"]))
+    sources = [Dataset(*ingest_dataset(path, m["response"])) for path in m["source"]]
     return target, sources
 
 
@@ -419,15 +427,7 @@ def _config(cls, **kwargs):
 
 
 def _pipeline_config(m: dict) -> TransferConfig:
-    return _config(
-        TransferConfig,
-        lambda_c=m["lambda_c"],
-        rank=m["rank"],
-        mode=m["mode"],
-        folds=m["folds"],
-        eps0=m["threshold"],
-        seed=m["seed"],
-    )
+    return _config(TransferConfig, **{name: m[key] for name, (key, _, _) in _PIPELINE.items()})
 
 
 def _outpath(m: dict, name: str) -> str:
@@ -489,13 +489,7 @@ def _cmd_infer(m: dict) -> int:
     if m["group"] is not None and m["group"][-1] >= target.p:
         raise UsageError(f"group indices must lie in [1, {target.p}], got {m['group'][-1] + 1}")
     test, cis, _, _ = full_inference(
-        target,
-        sources,
-        config,
-        group=m["group"],
-        alpha=m["alpha"],
-        studentized=m["studentized"],
-        draws=m["B"],
+        target, sources, config, **{name: m[key] for name, (key, _) in _INFER_PARAMS.items()}
     )
     rows = (
         (g + 1, cis.beta_tilde[g], cis.lower[i], cis.upper[i])
@@ -510,20 +504,10 @@ def _cmd_infer(m: dict) -> int:
 
 
 def _cmd_simulate(m: dict) -> int:
-    sim = {f.name: m["sim_" + f.name] for f in _SIM_FIELDS}
+    fields = dataclasses.fields(SimConfig)
+    sim = {f.name: m[_SIM_SHARED.get(f.name, "sim_" + f.name)] for f in fields}
     a_sizes = sim.pop("a_size")
-    configs = [
-        _config(
-            SimConfig,
-            **sim,
-            a_size=a_size,
-            base_seed=m["seed"],
-            lambda_c=m["lambda_c"],
-            folds=m["folds"],
-            eps0=m["threshold"],
-        )
-        for a_size in a_sizes
-    ]
+    configs = [_config(SimConfig, **sim, a_size=a_size) for a_size in a_sizes]
     results_rows = []
     summary_rows = []
     total_failures = 0
@@ -561,12 +545,13 @@ def _cmd_simulate(m: dict) -> int:
     return 0
 
 
-_RUNNERS = {
-    "fit": _cmd_fit,
-    "detect": _cmd_detect,
-    "transfer": _cmd_transfer,
-    "infer": _cmd_infer,
-    "simulate": _cmd_simulate,
+# subcommand -> (its option rows, its runner)
+_COMMANDS = {
+    "fit": (_DATA, _cmd_fit),
+    "detect": (_DATA, _cmd_detect),
+    "transfer": (_DATA, _cmd_transfer),
+    "infer": (_DATA + _INFER, _cmd_infer),
+    "simulate": (_SIM, _cmd_simulate),
 }
 
 
@@ -574,8 +559,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        merged = _merge(args, args.command)
-        return _RUNNERS[args.command](merged)
+        options, runner = _COMMANDS[args.command]
+        return runner(_merge(args, options))
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

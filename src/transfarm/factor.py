@@ -18,7 +18,8 @@ from transfarm.numerics import SymEigResult, check_matrix, check_vector, sym_eig
 # ratios are formed, so trailing zeros cannot fake a huge ratio.
 EIGENVALUE_FLOOR_REL = 1e-12
 
-# Default cap on candidate ranks: min(n // 2, MAX_RANK_CAP).
+# Cap on the candidate ranks of the automatic rank choice, which searches
+# at most min(min(n, p) // 2, MAX_RANK_CAP) of them.
 MAX_RANK_CAP = 15
 
 
@@ -55,10 +56,6 @@ class FactorDecomposition:
         u = self.x - self.factors @ self.loadings.T
         u.flags.writeable = False
         return u
-
-
-def default_max_rank(n: int) -> int:
-    return min(n // 2, MAX_RANK_CAP)
 
 
 def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
@@ -109,7 +106,7 @@ def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
         # the gram spectrum dies at the column count, so an uncapped ratio
         # search on a narrow design would always pick the full column rank
         # and leave an all-zero idiosyncratic block
-        cap = min(default_max_rank(n), limit // 2)
+        cap = min(limit // 2, MAX_RANK_CAP)
         if cap < 1:
             raise ValueError(
                 f"automatic rank selection needs at least 2 usable columns, got {limit}"

@@ -86,7 +86,8 @@ class Dataset:
     """One dataset: the target, or source k at 1-based position k in the
     source list, sources[k - 1].
 
-    x and y must not be modified after construction: split() memoises
+    x and y are read-only copies of the arrays passed in, so a later
+    write to those arrays leaves the dataset as it was.  split() memoises
     the factor split of each rank rule on the dataset, so detection,
     fitting and inference all reuse one split per dataset and mode, and
     every read of a split's block re-forms its idiosyncratic part from x.
@@ -105,6 +106,10 @@ class Dataset:
             )
         if self.x.shape[0] < 2:
             raise ValueError("dataset needs at least 2 rows")
+        # the memoised splits are made from x and y, so neither may change;
+        # np.array copies in the caller's memory layout
+        self.x, self.y = np.array(self.x), np.array(self.y)
+        self.x.flags.writeable = self.y.flags.writeable = False
 
     @property
     def n(self) -> int:

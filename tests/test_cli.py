@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import transfarm.cli
 from transfarm.cli import UsageError, ingest_dataset, main, write_dataset
+from transfarm.inference import full_inference
 from transfarm.numerics import RngStream
 from transfarm.simlab import SimConfig, SimResult
 from transfarm.transfer import Dataset, TransferConfig, detect_sources, two_step_fit
@@ -66,9 +68,8 @@ def test_ingest_roundtrip_is_exact(tmp_path):
     write_dataset(path, x, y)
     # the response is stripped like the header cells; " y" was never found
     for response in ("y", " y", "y\t"):
-        x2, y2, names = ingest_dataset(path, response)
+        x2, y2 = ingest_dataset(path, response)
         assert np.array_equal(x, x2) and np.array_equal(y, y2)
-        assert names == ["x1", "x2", "x3", "x4"]
 
 
 BOM = "\ufeff".encode()  # Excel's "CSV UTF-8" export starts the file with it
@@ -80,10 +81,9 @@ def test_ingest_drops_a_byte_order_mark(tmp_path):
     marked = tmp_path / "marked.csv"
     with open(paths[0], "rb") as fh:
         marked.write_bytes(BOM + fh.read())
-    x, y, names = ingest_dataset(paths[0])
-    x2, y2, names2 = ingest_dataset(str(marked))
+    x, y = ingest_dataset(paths[0])
+    x2, y2 = ingest_dataset(str(marked))
     assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
-    assert names2 == names
 
 
 def test_write_dataset_matches_per_cell_format(tmp_path):
@@ -97,7 +97,7 @@ def test_write_dataset_matches_per_cell_format(tmp_path):
     cells += [[transfarm.cli._fmt(v) for v in [y[i], *x[i]]] for i in range(5)]
     with open(path, newline="") as fh:
         assert fh.read() == "".join(",".join(row) + "\n" for row in cells)
-    x2, y2, _ = ingest_dataset(path)
+    x2, y2 = ingest_dataset(path)
     assert x2.tobytes() == x.tobytes() and y2.tobytes() == y.tobytes()
 
 
@@ -136,7 +136,7 @@ def test_writer_files_take_the_fast_path(tmp_path, monkeypatch):
     path = str(tmp_path / "d.csv")
     write_dataset(path, x, y)
     monkeypatch.setattr(transfarm.cli, "_read_rows", refuse)
-    x2, y2, _ = ingest_dataset(path)
+    x2, y2 = ingest_dataset(path)
     assert np.array_equal(x, x2) and np.array_equal(y, y2)
 
 
@@ -145,8 +145,8 @@ def test_ingest_reads_response_from_any_column(tmp_path):
     path_ = path
     with open(path_, "w") as fh:
         fh.write("x1,y,x2\n1,10,2\n3,20,4\n5,30,6\n")
-    x, y, names = ingest_dataset(path_)
-    assert x.shape == (3, 2) and names == ["x1", "x2"]
+    x, y = ingest_dataset(path_)
+    assert x.shape == (3, 2)
     assert np.array_equal(y, [10.0, 20.0, 30.0])
     assert np.array_equal(x, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
@@ -262,14 +262,13 @@ def test_ingest_matches_the_row_loop(tmp_path, text):
     with open(path, "w", newline="") as fh:
         fh.write(text)
     try:
-        x, y, names = ingest_rows(path)
+        x, y, _ = ingest_rows(path)
     except IngestError as exc:
         with pytest.raises(UsageError) as got:
             ingest_dataset(path)
         assert str(got.value) == str(exc)
         return
-    x2, y2, names2 = ingest_dataset(path)
-    assert names2 == names
+    x2, y2 = ingest_dataset(path)
     for want, have in ((x, x2), (y, y2)):
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes()
@@ -450,6 +449,99 @@ def test_simulate_defaults_are_sim_config_defaults(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["simulate"]) == 0
     assert configs == [SimConfig(base_seed=0)]
+
+
+# TransferConfig field -> (flag, flag text, value the config must carry);
+# every value differs from the field's default
+PIPELINE_FLAG_VALUES = {
+    "lambda_c": ("--lambda-c", "0.6", 0.6),
+    "rank": ("--rank", "1", 1),
+    "mode": ("--mode", "LASSO", "lasso"),
+    "folds": ("--folds", "4", 4),
+    "eps0": ("--threshold", "eps0:1.5", 1.5),
+    "seed": ("--seed", "7", 7),
+}
+
+
+def capture_transfer_configs(monkeypatch):
+    """Record the TransferConfig each library call of the CLI receives."""
+    configs = []
+    for name in ("two_step_fit", "detect_sources", "detect_and_fit", "full_inference"):
+        def spy(*args, real=getattr(transfarm.cli, name), **kwargs):
+            configs.extend(a for a in args if isinstance(a, TransferConfig))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transfarm.cli, name, spy)
+    return configs
+
+
+@pytest.mark.parametrize("command", ["fit", "detect", "transfer", "infer"])
+def test_every_transfer_config_field_reaches_its_flag(tmp_path, monkeypatch, command):
+    assert set(PIPELINE_FLAG_VALUES) == {f.name for f in dataclasses.fields(TransferConfig)}
+    paths, _ = make_files(tmp_path)
+    configs = capture_transfer_configs(monkeypatch)
+    argv = [command, "--target", paths[0], "--source", paths[1], "--source", paths[2],
+            "--out", str(tmp_path / "out")]
+    for flag, text, _ in PIPELINE_FLAG_VALUES.values():
+        argv += [flag, text]
+    assert main(argv + (["--B", "50"] if command == "infer" else [])) == 0
+    values = {name: value for name, (_, _, value) in PIPELINE_FLAG_VALUES.items()}
+    assert configs == [TransferConfig(**values)]
+    assert all(values[f.name] != f.default for f in dataclasses.fields(TransferConfig))
+
+
+def test_bare_infer_passes_full_inference_defaults(tmp_path, monkeypatch):
+    paths, _ = make_files(tmp_path, n_sources=0)
+    calls = []
+
+    def spy(target, sources, config, **kwargs):
+        calls.append((config, kwargs))
+        return full_inference(target, sources, config, **kwargs)
+
+    monkeypatch.setattr(transfarm.cli, "full_inference", spy)
+    assert main(["infer", "--target", paths[0], "--out", str(tmp_path / "out")]) == 0
+    params = inspect.signature(full_inference).parameters
+    defaults = {name: params[name].default for name in ("group", "alpha", "studentized", "draws")}
+    assert calls == [(TransferConfig(), defaults)]
+
+
+# each subcommand's flags besides --help and --config; a config key is its
+# flag's name with underscores for dashes
+PIPELINE_FLAGS = {
+    "--out", "--threads", "--target", "--source", "--response", "--rank", "--lambda-c",
+    "--folds", "--threshold", "--mode", "--seed",
+}
+COMMAND_FLAGS = {
+    "fit": PIPELINE_FLAGS,
+    "detect": PIPELINE_FLAGS,
+    "transfer": PIPELINE_FLAGS,
+    "infer": PIPELINE_FLAGS | {"--alpha", "--B", "--group", "--studentized"},
+    "simulate": {
+        "--out", "--threads", "--seed", "--lambda-c", "--folds", "--threshold",
+        "--sim-n0", "--sim-nk", "--sim-p", "--sim-s", "--sim-k-sources", "--sim-a-size",
+        "--sim-eta", "--sim-rank", "--sim-signal", "--sim-gamma0",
+        "--sim-gamma-jitter-informative", "--sim-gamma-jitter-adversarial",
+        "--sim-adversarial-mult", "--sim-rho", "--sim-cov-spike", "--sim-loading-width",
+        "--sim-replications", "--sim-roster", "--sim-fix-rank", "--sim-redraw-informative",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_flags_and_config_keys_of_each_command(tmp_path, monkeypatch, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--config", *COMMAND_FLAGS[command]}
+    # no command gets far: fit and the rest have no target, and simulate
+    # does not run its experiment
+    capture_sim_configs(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for flag in COMMAND_FLAGS[command]:
+        key = flag[2:].replace("-", "_")
+        (tmp_path / "run.cfg").write_text(f"{key} = 1\n")
+        main([command, "--config", "run.cfg"])
+        assert "unknown config key" not in capsys.readouterr().err, key
 
 
 def test_simulate_gamma0_follows_rank(tmp_path):

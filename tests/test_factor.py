@@ -8,7 +8,6 @@ import transfarm.factor
 from _oracles import charpoly_eig
 from transfarm.factor import (
     decompose,
-    default_max_rank,
     residualize,
     select_rank,
 )
@@ -59,9 +58,18 @@ def test_select_rank_errors():
         select_rank(values, 3)  # needs max_rank + 1 eigenvalues
 
 
-def test_default_max_rank_cap():
-    assert default_max_rank(10) == 5
-    assert default_max_rank(400) == 15
+def test_rank_search_cap(monkeypatch):
+    # the automatic rank searches min(min(n, p) // 2, MAX_RANK_CAP) candidates
+    seen = []
+
+    def spy(gram_eigenvalues, max_rank):
+        seen.append(max_rank)
+        return select_rank(gram_eigenvalues, max_rank)
+
+    monkeypatch.setattr(transfarm.factor, "select_rank", spy)
+    for n, p in [(10, 20), (400, 500), (60, 12)]:
+        decompose(factor_data(n, p, 2, 3))
+    assert seen == [5, 15, 6]
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,24 @@ def sparse_beta(p, s, value=0.5):
     return beta
 
 
+@pytest.mark.parametrize("mode", [MODE_FARM, MODE_LASSO])
+def test_dataset_keeps_read_only_copies(mode):
+    # the dataset held the caller's x: a write to it after split moved the
+    # next block read while the memoised factors and y_tilde stayed stale
+    gen = np.random.default_rng(8)
+    x, y = gen.standard_normal((20, 6)), gen.standard_normal(20)
+    d = Dataset(x=x, y=y)
+    split = d.split(TransferConfig(rank=1, mode=mode))
+    u, y_tilde = (a.copy() for a in split.block)
+    x[0, 0] += 5.0
+    y[0] += 5.0
+    assert split.block[0].tobytes() == u.tobytes()
+    assert split.block[1].tobytes() == y_tilde.tobytes()
+    for a in (d.x, d.y):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
 # ----------------------------------------------------------------------
 # two_step_fit
 # ----------------------------------------------------------------------
