@@ -5,9 +5,14 @@ _COMMANDS.  The pipeline options are built from TransferConfig's fields,
 the sim_ options from SimConfig's, and infer's defaults are
 full_inference's.  Options can come from a flat key = value config file
 (--config); explicit flags win over file values, which win over
-defaults.  All numeric output is written with 17 significant digits so
-files round-trip exactly, and every command is deterministic given the
-same inputs and --seed.
+defaults.  The converters parse syntax only.  Each value rule is the
+library's own check (the configs, check_fraction, check_count), called
+through _checked before any CSV is read; the CLI keeps only its own
+rules: --target is required, --out must be a directory, --group is
+"all" or 1-based indices within the target's columns, --sim-a-size is
+nonempty, and the CSV and config-file rules.  All numeric output is
+written with 17 significant digits so files round-trip exactly, and
+every command is deterministic given the same inputs and --seed.
 
 Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
 """
@@ -27,7 +32,7 @@ import warnings
 import numpy as np
 
 from transfarm.inference import full_inference
-from transfarm.numerics import check_matrix, check_vector
+from transfarm.numerics import check_count, check_fraction, check_matrix, check_vector
 from transfarm.simlab import SimConfig, run_experiment
 from transfarm.transfer import (
     Dataset,
@@ -190,21 +195,11 @@ def _c_int(key, raw):
         raise UsageError(f"invalid integer for {key}: {raw!r}") from None
 
 
-def _c_positive_int(key, raw):
-    v = _c_int(key, raw)
-    if v < 1:
-        raise UsageError(f"{key} must be at least 1, got {v}")
-    return v
-
-
 def _c_float(key, raw):
     try:
-        v = float(raw)
+        return float(raw)
     except ValueError:
         raise UsageError(f"invalid number for {key}: {raw!r}") from None
-    if not math.isfinite(v):
-        raise UsageError(f"non-finite number for {key}: {raw!r}")
-    return v
 
 
 def _c_bool(key, raw):
@@ -253,25 +248,12 @@ def _c_group(key, raw):
     return tuple(sorted(set(i - 1 for i in idx)))
 
 
-def _c_int_list(key, raw):
-    try:
-        out = tuple(int(tok) for tok in str(raw).split(",") if tok.strip() != "")
-    except ValueError:
-        raise UsageError(f"invalid integer list for {key}: {raw!r}") from None
-    if not out:
-        raise UsageError(f"{key} needs at least one integer, got {raw!r}")
-    return out
+def _list_of(conv):
+    # a comma list: conv applied to each stripped, nonblank entry
+    def convert(key, raw):
+        return tuple(conv(key, tok.strip()) for tok in str(raw).split(",") if tok.strip())
 
-
-def _c_float_list(key, raw):
-    try:
-        return tuple(float(tok) for tok in str(raw).split(",") if tok.strip() != "")
-    except ValueError:
-        raise UsageError(f"invalid number list for {key}: {raw!r}") from None
-
-
-def _c_str_list(key, raw):
-    return tuple(tok.strip() for tok in str(raw).split(",") if tok.strip() != "")
+    return convert
 
 
 # keyed by annotation text: the configs postpone annotations, so field.type is a string
@@ -279,16 +261,17 @@ _CONVERTERS = {
     "int": _c_int,
     "float": _c_float,
     "bool": _c_bool,
-    "tuple[float, ...] | None": _c_float_list,
-    "tuple[str, ...]": _c_str_list,
+    "tuple[float, ...] | None": _list_of(_c_float),
+    "tuple[str, ...]": _list_of(_c_str),
 }
 
 # an option row is (config key, default, converter); its flag is the key
 # with dashes for underscores.  Defaults are typed as the converters
-# return them, and the configs, not the converters, check the values.
+# return them; the converters parse syntax only, and the library's own
+# checks, called through _checked, rule on the values.
 _SHARED = [
     ("out", ".", _c_str),
-    ("threads", os.cpu_count() or 1, _c_positive_int),
+    ("threads", os.cpu_count() or 1, _c_int),
 ]
 # TransferConfig fields whose flag has its own name or syntax
 _PIPELINE_SYNTAX = {
@@ -307,7 +290,7 @@ def _pipeline_option(f):
 _PIPELINE = {f.name: _pipeline_option(f) for f in dataclasses.fields(TransferConfig)}
 _DATA = _SHARED + [
     ("target", None, _c_str),
-    ("source", (), _c_str_list),
+    ("source", (), _list_of(_c_str)),
     ("response", "y", _c_str),
     *_PIPELINE.values(),
 ]
@@ -331,7 +314,7 @@ _SIM_SHARED = {"base_seed": "seed", "lambda_c": "lambda_c", "folds": "folds", "e
 def _sim_option(f):
     if f.name == "a_size":
         # a list of sizes, one SimConfig per value
-        return ("sim_a_size", (f.default,), _c_int_list)
+        return ("sim_a_size", (f.default,), _list_of(_c_int))
     return ("sim_" + f.name, f.default, _CONVERTERS[f.type])
 
 
@@ -409,7 +392,7 @@ def _merge(args: argparse.Namespace, options: list) -> dict:
 
 
 def _load_datasets(m: dict):
-    # commands build their configs first, so a bad flag value exits 1
+    # commands check their flag values first, so a bad one exits 1
     # before any CSV is read
     if not m["target"]:
         raise UsageError("--target is required")
@@ -418,16 +401,17 @@ def _load_datasets(m: dict):
     return target, sources
 
 
-def _config(cls, **kwargs):
-    # a config the constructor rejects came from bad flag values
+def _checked(check, *args, **kwargs):
+    # the one place where a library check (a config constructor, or a
+    # rule such as check_count) rejecting a flag value becomes exit 1
     try:
-        return cls(**kwargs)
+        return check(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _pipeline_config(m: dict) -> TransferConfig:
-    return _config(TransferConfig, **{name: m[key] for name, (key, _, _) in _PIPELINE.items()})
+    return _checked(TransferConfig, **{name: m[key] for name, (key, _, _) in _PIPELINE.items()})
 
 
 def _outpath(m: dict, name: str) -> str:
@@ -480,10 +464,8 @@ def _cmd_transfer(m: dict) -> int:
 
 def _cmd_infer(m: dict) -> int:
     config = _pipeline_config(m)
-    if not 0.0 < m["alpha"] < 1.0:
-        raise UsageError(f"alpha must lie in (0, 1), got {m['alpha']}")
-    if m["B"] < 1:
-        raise UsageError(f"B must be positive, got {m['B']}")
+    _checked(check_fraction, m["alpha"], "alpha")
+    _checked(check_count, m["B"], "draws", 1)
     target, sources = _load_datasets(m)
     # the group range needs the target's p
     if m["group"] is not None and m["group"][-1] >= target.p:
@@ -507,7 +489,9 @@ def _cmd_simulate(m: dict) -> int:
     fields = dataclasses.fields(SimConfig)
     sim = {f.name: m[_SIM_SHARED.get(f.name, "sim_" + f.name)] for f in fields}
     a_sizes = sim.pop("a_size")
-    configs = [_config(SimConfig, **sim, a_size=a_size) for a_size in a_sizes]
+    if not a_sizes:
+        raise UsageError("sim_a_size needs at least one integer")
+    configs = [_checked(SimConfig, **sim, a_size=a_size) for a_size in a_sizes]
     results_rows = []
     summary_rows = []
     total_failures = 0
@@ -560,7 +544,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         options, runner = _COMMANDS[args.command]
-        return runner(_merge(args, options))
+        m = _merge(args, options)
+        _checked(check_count, m["threads"], "threads", 1)
+        if os.path.exists(m["out"]) and not os.path.isdir(m["out"]):
+            raise UsageError(f"--out must be a directory, got the file {m['out']}")
+        return runner(m)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

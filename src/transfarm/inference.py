@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from transfarm.numerics import RngStream, check_count, check_indices, check_matrix, check_vector
+from transfarm.numerics import (
+    RngStream,
+    check_count,
+    check_fraction,
+    check_indices,
+    check_matrix,
+    check_vector,
+)
 from transfarm.solver import nodewise_precision
 from transfarm.transfer import (
     Dataset,
@@ -67,11 +74,6 @@ def debias(
         )
     resid = y_tilde - u @ coef
     return coef + theta @ (u.T @ resid) / n
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
 
 
 def _check_group(group, p: int) -> tuple[int, ...]:
@@ -132,8 +134,7 @@ def empirical_quantile(draws: np.ndarray, level: float) -> float:
     draws = check_vector(draws, "draws")
     if draws.size == 0:
         raise ValueError("draws must be nonempty")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly inside (0, 1), got {level}")
+    check_fraction(level, "level")
     b = draws.size
     k = math.ceil(b * level)
     # float rounding in b * level can overshoot the true ceiling by one
@@ -184,7 +185,7 @@ def simultaneous_cis(
     Plain intervals share one half-width quantile / sqrt(n); studentized
     intervals scale it by sqrt(theta_ii) coordinatewise.
     """
-    _check_alpha(alpha)
+    check_fraction(alpha, "alpha")
     u = check_matrix(u, "u")
     theta = check_matrix(theta, "theta")
     n, p = u.shape
@@ -231,7 +232,7 @@ def full_inference(
     are checked before any fit.
     """
     draws = check_count(draws, "draws", 1)
-    _check_alpha(alpha)
+    check_fraction(alpha, "alpha")
     _check_group(group, target.p)
     config = config or TransferConfig()
     rng = rng or RngStream(config.seed)

@@ -96,6 +96,12 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     return int(value)
 
 
+def check_fraction(value, name: str) -> None:
+    """value must lie strictly inside (0, 1), which NaN does not."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
+
+
 def check_indices(values, name: str = "indices") -> list[int]:
     """values as Python ints; an entry that is not a Python or numpy
     integer (a bool, or a float even when integral) raises."""

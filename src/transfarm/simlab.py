@@ -32,6 +32,7 @@ from transfarm.transfer import (
     Dataset,
     TransferConfig,
     TransferFit,
+    check_fold_rows,
     detect_sources,
     two_step_fit,
 )
@@ -122,11 +123,8 @@ class SimConfig:
             raise ValueError(f"roster names {twice} more than once")
         # the pipeline checks its own knobs: build the config a replication uses
         _transfer_config(self, MODE_FARM, 0)
-        if {"Trans-FARM", "Trans-Lasso"} & set(self.roster) and self.n0 < 2 * self.folds:
-            raise ValueError(
-                f"detection with folds = {self.folds} needs n0 >= {2 * self.folds},"
-                f" got n0 = {self.n0}"
-            )
+        if {"Trans-FARM", "Trans-Lasso"} & set(self.roster):
+            check_fold_rows(self.n0, self.folds)
 
 
 @dataclass

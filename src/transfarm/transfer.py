@@ -286,6 +286,12 @@ def two_step_fit(
     )
 
 
+def check_fold_rows(n: int, folds: int) -> None:
+    """Detection's rule: n target rows give each of the folds at least 2."""
+    if n < 2 * folds:
+        raise ValueError(f"need at least {2 * folds} target rows for {folds} folds, got {n}")
+
+
 def detect_sources(
     target: Dataset,
     sources: list[Dataset],
@@ -341,11 +347,7 @@ def detect_sources(
     implemented here.
     """
     config = config or TransferConfig()
-    if target.n < 2 * config.folds:
-        raise ValueError(
-            f"need at least {2 * config.folds} target rows for {config.folds} folds,"
-            f" got {target.n}"
-        )
+    check_fold_rows(target.n, config.folds)
 
     splits = _splits(target, sources, range(len(sources) + 1), config)
     u0, y0 = splits[0].block

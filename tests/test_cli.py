@@ -688,14 +688,14 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
     paths, _ = make_files(tmp_path, n_sources=0)
     rc = main(["infer", "--target", paths[0], "--alpha", "1.5"])
     assert rc == 1
-    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert "alpha must lie strictly inside (0, 1), got 1.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
         (["infer", "--target", "{t}", "--group", "7"], "group indices must lie in [1, 6], got 7"),
-        (["infer", "--target", "{t}", "--B", "0"], "B must be positive, got 0"),
+        (["infer", "--target", "{t}", "--B", "0"], "draws must be an integer of at least 1, got 0"),
         *(
             ([command, "--target", "{t}", "--source", "{s}", "--folds", "1"],
              "folds must be at least 2")
@@ -704,7 +704,7 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
         (["simulate", "--sim-a-size", ""], "sim_a_size needs at least one integer"),
         (["simulate", "--sim-p", "10", "--sim-s", "20"], "s = 20 exceeds p = 10"),
         (["simulate", "--sim-roster", ""], "roster must name at least one estimator"),
-        (["simulate", "--threads", "-3"], "threads must be at least 1, got -3"),
+        (["simulate", "--threads", "-3"], "threads must be an integer of at least 1, got -3"),
         (["simulate", "--folds", "1"], "folds must be at least 2, got 1"),
         (["simulate", "--lambda-c", "-1"], "lambda_c must be at least 0, got -1.0"),
         (["simulate", "--sim-max-rank", "3"], "unrecognized arguments: --sim-max-rank 3"),
@@ -718,7 +718,7 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
             for command in ("fit", "detect", "transfer", "infer")
         ),
         (["simulate", "--seed", "-1"], "base_seed must be at least 0, got -1"),
-        (["simulate", "--sim-n0", "5"], "detection with folds = 3 needs n0 >= 6, got n0 = 5"),
+        (["simulate", "--sim-n0", "5"], "need at least 6 target rows for 3 folds, got 5"),
         (["fit", "--target", "{t}", "--mode", "bogus"], "mode must be 'farm' or 'lasso', got 'bogus'"),
         (["detect", "--target", "{t}", "--rank", "-1"], "rank must be at least 0, got -1"),
         (["transfer", "--target", "{t}", "--threshold", "eps0:-1"],
@@ -731,7 +731,17 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
             ([command, "--target", "{t}.missing", "--folds", "1"], "folds must be at least 2")
             for command in ("fit", "detect", "transfer", "infer")
         ),
-        (["infer", "--target", "{t}.missing", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        (["infer", "--target", "{t}.missing", "--alpha", "1.5"],
+         "alpha must lie strictly inside (0, 1), got 1.5"),
+        (["infer", "--target", "{t}.missing", "--B", "0"],
+         "draws must be an integer of at least 1, got 0"),
+        # the converters parse only; each value rule is the library's
+        (["fit", "--target", "{t}", "--lambda-c", "inf"], "lambda_c must be finite, got inf"),
+        (["infer", "--target", "{t}", "--alpha", "nan"],
+         "alpha must lie strictly inside (0, 1), got nan"),
+        (["simulate", "--sim-eta", "nan"], "eta must be finite, got nan"),
+        (["fit", "--target", "{t}", "--threads", "0"],
+         "threads must be an integer of at least 1, got 0"),
     ],
     ids=["infer-group", "infer-B", "fit-folds", "detect-folds", "transfer-folds", "infer-folds",
          "simulate-empty-a-size", "simulate-s-above-p", "simulate-empty-roster",
@@ -741,7 +751,8 @@ def test_invalid_alpha_exits_1(tmp_path, capsys):
          "simulate-seed", "simulate-n0-below-folds", "fit-mode", "detect-rank",
          "transfer-eps0", "simulate-eps0", "simulate-gamma0-length", "fit-folds-before-ingest",
          "detect-folds-before-ingest", "transfer-folds-before-ingest",
-         "infer-folds-before-ingest", "infer-alpha-before-ingest"],
+         "infer-folds-before-ingest", "infer-alpha-before-ingest", "infer-B-before-ingest",
+         "fit-lambda-c-inf", "infer-alpha-nan", "simulate-eta-nan", "fit-threads-0"],
 )
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     paths, _ = make_files(tmp_path, p=6, n_sources=1)
@@ -750,6 +761,22 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
+    paths, _ = make_files(tmp_path, n_sources=0)
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_experiment ran before --out was checked")
+
+    monkeypatch.setattr(transfarm.cli, "run_experiment", no_run)
+    argv = ["--target", paths[0]] if command == "fit" else []
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert f"--out must be a directory, got the file {out}" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

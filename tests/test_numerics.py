@@ -10,6 +10,7 @@ from _oracles import charpoly_eig, fix_sign
 from transfarm.numerics import (
     RngStream,
     check_fields,
+    check_fraction,
     correlated_normal,
     sym_eig,
     toeplitz_correlation,
@@ -180,3 +181,11 @@ def test_check_fields_bounds_each_field_by_its_table():
     # a misspelt bound would never apply; it fails even on good values
     with pytest.raises(TypeError, match=r"Knobs has no fields \['cuont'\]"):
         check_fields(Knobs(), {"count": 1, "cuont": 1})
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")])
+def test_check_fraction_takes_the_open_interval_only(value):
+    check_fraction(1e-12, "alpha")
+    check_fraction(1.0 - 1e-12, "alpha")
+    with pytest.raises(ValueError, match=r"alpha must lie strictly inside \(0, 1\), got"):
+        check_fraction(value, "alpha")

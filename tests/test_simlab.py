@@ -433,7 +433,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"roster names \['only-FARM'\] more than once"):
         tiny_config(roster=("only-FARM", "Trans-Lasso", "only-FARM"))
     for name in ("Trans-FARM", "Trans-Lasso"):
-        with pytest.raises(ValueError, match="folds = 3 needs n0 >= 6, got n0 = 5"):
+        with pytest.raises(ValueError, match="need at least 6 target rows for 3 folds, got 5"):
             tiny_config(n0=5, s=2, roster=("only-FARM", name))
     # a non-integer would fail inside a replication, unnamed; a bool would pass
     for name, value in [("p", 50.5), ("replications", 1.5), ("k_sources", 2.0), ("n0", True),
