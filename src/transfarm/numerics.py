@@ -2,7 +2,10 @@
 
 Everything downstream funnels its linear algebra and randomness through
 this module so that determinism and sign conventions are fixed in one
-place.
+place.  The gaussian sampler, spiked_ar1_normal, draws rows with AR(1)
+correlation plus a rank-one spike in O(n·p): it applies the Cholesky
+factor L = L_T·L_A (the AR(1) recursion times the rank-one update)
+without forming the covariance.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import numpy as np
 
 # Relative tolerance for the symmetry pre-check in sym_eig.
 SYMMETRY_RTOL = 1e-10
-
-# Cholesky pivots at or below this value mean the covariance is not
-# numerically positive definite.
-CHOLESKY_PIVOT_FLOOR = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -144,38 +143,52 @@ class RngStream:
         return RngStream(self.seed, self.stream, self.path + key)
 
 
-def correlated_normal(rng: RngStream, n: int, cov: np.ndarray) -> np.ndarray:
-    """n rows of N(0, cov) via the Cholesky factor of cov.
+def spiked_ar1_normal(rng: RngStream, n: int, rho: float, spike) -> np.ndarray:
+    """n rows of N(0, T + s·sᵀ) in O(n·p), where T[i, j] = rho ** |i - j|
+    is the AR(1) correlation and s = spike a rank-one term (zeros for T
+    alone).  The rows are z·Lᵀ, with z the n×p standard-normal draw of
+    rng.generator() and L the Cholesky factor of T + s·sᵀ, applied
+    without forming T, the covariance or L.
 
-    cov must be symmetric positive definite; a pivot at or below
-    1e-12 is treated as rank deficiency and raises.
+    With c = √(1 − rho²), T = L_T·L_Tᵀ where x = L_T·w is the recursion
+    x₀ = w₀, x_j = rho·x_{j−1} + c·w_j.  The spike whitened by it,
+    u = L_T⁻¹·s, is u₀ = s₀, u_j = (s_j − rho·s_{j−1}) / c.  With the
+    running sums β₋₁ = 1, β_j = β_{j−1} + u_j², the Cholesky factor L_A
+    of I + u·uᵀ (Gill, Golub, Murray and Saunders 1974, Math. Comp.) has
+    L_A[j, j] = √(β_j / β_{j−1}) and L_A[i, j] = u_i·u_j / √(β_j·β_{j−1})
+    for i > j, so w = L_A·z is √(β_j / β_{j−1})·z_j plus u_j times the
+    exclusive cumulative sum of u_k·z_k / √(β_k·β_{k−1}).  L = L_T·L_A is
+    lower triangular with a positive diagonal and L·Lᵀ = T + s·sᵀ; the
+    Cholesky factor is unique, so L is it.  For rho < 1 the covariance is
+    positive definite whatever the spike.  Each row is L_T·(L_A·z); the
+    recursion runs on the transpose, so that each column is contiguous.
+    The result is C-ordered.  A ValueError names an n below 1, a rho
+    outside [0, 1), and a spike that is empty, not 1-d or not finite.
     """
-    cov = check_matrix(cov, "cov")
-    if n < 1:
-        raise ValueError(f"row count must be positive, got {n}")
-    if cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"cov must be square, got shape {cov.shape}")
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"cov is not positive definite: {exc}") from None
-    pivots = np.diagonal(lower) ** 2
-    if np.min(pivots) <= CHOLESKY_PIVOT_FLOOR:
-        raise ValueError(
-            f"cov is numerically rank deficient (pivot {np.min(pivots):.3e})"
-        )
-    z = rng.generator().standard_normal((n, cov.shape[0]))
-    return z @ lower.T
-
-
-def toeplitz_correlation(rho: float, p: int) -> np.ndarray:
-    """Correlation matrix with entries rho ** |i - j|."""
+    n = check_count(n, "row count n", minimum=1)
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if p < 1:
-        raise ValueError(f"dimension must be positive, got {p}")
-    idx = np.arange(p)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    s = check_vector(spike, "spike")
+    if s.size < 1:
+        raise ValueError("spike must have at least one entry, got none")
+    c = math.sqrt(1.0 - rho * rho)
+    u = np.empty_like(s)  # L_T⁻¹·s
+    u[0] = s[0]
+    u[1:] = (s[1:] - rho * s[:-1]) / c
+    beta = np.cumsum(np.concatenate(([1.0], u * u)))  # β₋₁, β₀, …, β_{p−1}
+    z = rng.generator().standard_normal((n, s.size))
+    w = np.ascontiguousarray(z.T)  # row j holds column j of z
+    acc = np.cumsum(w * (u / np.sqrt(beta[1:] * beta[:-1]))[:, None], axis=0)
+    w *= np.sqrt(beta[1:] / beta[:-1])[:, None]
+    acc[:-1] *= u[1:, None]
+    w[1:] += acc[:-1]  # w = L_A·z
+    w[1:] *= c
+    prev = w[0]
+    for row in w[1:]:  # x = L_T·w
+        row += rho * prev
+        prev = row
+    z[...] = w.T  # back into the draw's own C-ordered buffer
+    return z
 
 
 # ======================================================================

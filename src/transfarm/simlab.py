@@ -1,10 +1,12 @@
 """Monte-Carlo experiment machinery for the transfer estimators.
 
 The generator draws one target and K source datasets from a common
-two-factor design: the target idiosyncratic covariance is Toeplitz, each
-source covariance adds an independent rank-one spike, informative
-sources sit within an l1 ball of the target coefficient, and the rest
-get twice the contrast plus larger factor-coefficient jitter.
+two-factor design: the target idiosyncratic covariance is Toeplitz
+(AR(1)), each source covariance adds an independent rank-one spike,
+informative sources sit within an l1 ball of the target coefficient, and
+the rest get twice the contrast plus larger factor-coefficient jitter.
+The idiosyncratic rows come from numerics.spiked_ar1_normal, which
+applies the Cholesky factor L = L_T·L_A of that covariance in O(n·p).
 run_experiment fits a roster of estimators over independent
 replications and collects coefficient-error metrics.
 """
@@ -23,8 +25,7 @@ from transfarm.numerics import (
     check_count,
     check_fields,
     check_indices,
-    correlated_normal,
-    toeplitz_correlation,
+    spiked_ar1_normal,
 )
 from transfarm.transfer import (
     MODE_FARM,
@@ -201,6 +202,11 @@ def generate(
 ) -> tuple[Dataset, list[Dataset], SimTruth]:
     """Draw one replication of the design.
 
+    Each dataset's idiosyncratic rows are numerics.spiked_ar1_normal
+    draws, O(n·p) each: the Cholesky factor L = L_T·L_A of the AR(1)
+    correlation plus the dataset's spike (zero for the target), applied
+    by recursion.
+
     informative overrides the random informative subset (1-based source
     positions, a repeat counted once); by default a_size sources are
     chosen uniformly without replacement from substream (1, 0).
@@ -221,7 +227,6 @@ def generate(
     beta[: config.s] = config.signal
     gamma0 = (0.5,) * r if config.gamma0 is None else config.gamma0
     gamma = np.asarray(gamma0, dtype=np.float64)
-    cov0 = toeplitz_correlation(config.rho, p)
 
     datasets: list[Dataset] = []
     truth = SimTruth(
@@ -235,11 +240,10 @@ def generate(
         ds_stream = rng.substream(0, k)
         n = config.n0 if k == 0 else config.nk
         if k == 0:
-            cov = cov0
+            spike = np.zeros(p)
             coef, gam = beta, gamma
         else:
             spike = config.cov_spike * ds_stream.generator(3).standard_normal(p)
-            cov = cov0 + np.outer(spike, spike)
             cgen = rng.generator(2, k)
             if k in informative:
                 contrast = config.eta / p
@@ -255,7 +259,7 @@ def generate(
             -config.loading_width, config.loading_width, (p, r)
         )
         factors = ds_stream.generator(1).standard_normal((n, r))
-        idio = correlated_normal(ds_stream.substream(2), n, cov)
+        idio = spiked_ar1_normal(ds_stream.substream(2), n, config.rho, spike)
         noise = ds_stream.generator(4).standard_normal(n)
         x = factors @ loadings.T + idio
         y = idio @ coef + factors @ gam + noise

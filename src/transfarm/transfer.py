@@ -367,7 +367,9 @@ def detect_sources(
     per_source = np.zeros(k_total)
     selected = []
     for k in range(k_total + 1):
-        extra = [gram_piece(*splits[k].block)] if k else []
+        extra = []  # source k - 1's piece goes before source k's is formed
+        if k:
+            extra.append(gram_piece(*splits[k].block))
         coef = first
         for r, hold in enumerate(split):
             what = (

@@ -11,9 +11,8 @@ from transfarm.numerics import (
     RngStream,
     check_fields,
     check_fraction,
-    correlated_normal,
+    spiked_ar1_normal,
     sym_eig,
-    toeplitz_correlation,
 )
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -119,43 +118,65 @@ def test_substream_keys_partition_the_stream():
 
 
 # ----------------------------------------------------------------------
-# correlated sampling
+# spiked AR(1) sampling
 # ----------------------------------------------------------------------
 
 
-def test_toeplitz_entries():
-    cov = toeplitz_correlation(0.5, 4)
-    for i in range(4):
-        for j in range(4):
-            assert cov[i, j] == 0.5 ** abs(i - j)
-    assert np.array_equal(toeplitz_correlation(0.0, 3), np.eye(3))
+def ar1_correlation(rho, p):
+    idx = np.arange(p)
+    return rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def test_identity_covariance_moments():
-    draws = correlated_normal(RngStream(1), 50000, np.eye(3))
+    draws = spiked_ar1_normal(RngStream(1), 50000, 0.0, np.zeros(3))
     assert np.max(np.abs(draws.mean(axis=0))) < 0.03
     emp = draws.T @ draws / 50000
     assert np.max(np.abs(emp - np.eye(3))) < 0.03
 
 
 def test_toeplitz_empirical_covariance():
-    cov = toeplitz_correlation(0.5, 20)
-    draws = correlated_normal(RngStream(2), 50000, cov)
+    draws = spiked_ar1_normal(RngStream(2), 50000, 0.5, np.zeros(20))
     emp = draws.T @ draws / 50000
     # law-of-large-numbers check on every entry
-    assert np.max(np.abs(emp - cov)) < 0.03
+    assert np.max(np.abs(emp - ar1_correlation(0.5, 20))) < 0.03
 
 
-def test_cholesky_reproduces_covariance():
-    cov = toeplitz_correlation(0.5, 12)
-    chol = np.linalg.cholesky(cov)
-    assert np.max(np.abs(chol @ chol.T - cov)) < 1e-10
+def test_spiked_empirical_covariance():
+    spike = 0.3 * np.random.default_rng(5).standard_normal(20)
+    draws = spiked_ar1_normal(RngStream(3), 50000, 0.5, spike)
+    emp = draws.T @ draws / 50000
+    assert np.max(np.abs(emp - ar1_correlation(0.5, 20) - np.outer(spike, spike))) < 0.03
 
 
-def test_degenerate_covariance_rejected():
-    singular = np.ones((3, 3))
-    with pytest.raises((ValueError, np.linalg.LinAlgError)):
-        correlated_normal(RngStream(0), 10, singular)
+@pytest.mark.parametrize("spiked", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 37])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+def test_matches_dense_cholesky_factor(rho, p, spiked):
+    # the rows are z·Lᵀ for the Cholesky factor L of T + s·sᵀ and the
+    # standard-normal draw z of the stream's generator
+    spike = np.random.default_rng(p).standard_normal(p) if spiked else np.zeros(p)
+    rng = RngStream(7, 0, (1,))
+    z = rng.generator().standard_normal((50, p))
+    lower = np.linalg.cholesky(ar1_correlation(rho, p) + np.outer(spike, spike))
+    x = spiked_ar1_normal(rng, 50, rho, spike)
+    assert x.shape == (50, p) and x.flags.c_contiguous
+    assert np.max(np.abs(x - z @ lower.T)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize(
+    "n, rho, spike, message",
+    [
+        (10, 1.0, np.zeros(3), r"rho must lie in \[0, 1\), got 1.0"),
+        (10, -0.1, np.zeros(3), r"rho must lie in \[0, 1\), got -0.1"),
+        (10, 0.5, np.array([0.0, np.nan, 1.0]), "spike contains non-finite entries"),
+        (10, 0.5, np.zeros((2, 3)), r"spike must be 1-dimensional, got shape \(2, 3\)"),
+        (0, 0.5, np.zeros(3), "row count n must be an integer of at least 1, got 0"),
+    ],
+    ids=["rho-1", "rho-negative", "spike-nan", "spike-2d", "n-0"],
+)
+def test_sampler_rejects_bad_arguments(n, rho, spike, message):
+    with pytest.raises(ValueError, match=message):
+        spiked_ar1_normal(RngStream(0), n, rho, spike)
 
 
 @dataclass

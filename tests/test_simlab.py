@@ -9,7 +9,7 @@ import pytest
 import transfarm.factor
 import transfarm.simlab
 import transfarm.transfer
-from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
+from transfarm.numerics import RngStream, spiked_ar1_normal
 from transfarm.simlab import (
     ALL_ESTIMATORS,
     FARM_ESTIMATORS,
@@ -38,15 +38,14 @@ def drawn_parts(cfg, rng, k):
     (0 the target) from rng, rebuilt from the same substreams."""
     stream = rng.substream(0, k)
     n = cfg.n0 if k == 0 else cfg.nk
-    cov = toeplitz_correlation(cfg.rho, cfg.p)
+    spike = np.zeros(cfg.p)
     if k:
         spike = cfg.cov_spike * stream.generator(3).standard_normal(cfg.p)
-        cov = cov + np.outer(spike, spike)
     loadings = stream.generator(0).uniform(
         -cfg.loading_width, cfg.loading_width, (cfg.p, cfg.rank)
     )
     factors = stream.generator(1).standard_normal((n, cfg.rank))
-    return factors, loadings, correlated_normal(stream.substream(2), n, cov)
+    return factors, loadings, spiked_ar1_normal(stream.substream(2), n, cfg.rho, spike)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,8 @@ def test_target_idiosyncratic_covariance_is_toeplitz():
     factors, loadings, u = drawn_parts(cfg, rng, 0)
     assert np.array_equal(target.x, factors @ loadings.T + u)
     emp = u.T @ u / u.shape[0]
-    assert np.max(np.abs(emp - toeplitz_correlation(0.5, 20))) < 0.03
+    idx = np.arange(20)
+    assert np.max(np.abs(emp - 0.5 ** np.abs(idx[:, None] - idx[None, :]))) < 0.03
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import transfarm.factor
 import transfarm.transfer
 from transfarm.factor import decompose, residualize
-from transfarm.numerics import RngStream, correlated_normal, toeplitz_correlation
+from transfarm.numerics import RngStream, spiked_ar1_normal
 from transfarm.simlab import SimConfig
 from transfarm.solver import (
     LassoProblem,
@@ -38,7 +38,7 @@ def make_dataset(n, p, beta, seed, rank=2, gamma_scale=0.5):
     rng = RngStream(seed)
     b = rng.generator(0).uniform(-1.0, 1.0, (p, rank))
     f = rng.generator(1).standard_normal((n, rank))
-    u = correlated_normal(rng.substream(2), n, toeplitz_correlation(0.5, p))
+    u = spiked_ar1_normal(rng.substream(2), n, 0.5, np.zeros(p))
     x = f @ b.T + u
     gamma = np.full(rank, gamma_scale)
     y = u @ beta + f @ gamma + rng.generator(3).standard_normal(n)
