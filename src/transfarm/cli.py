@@ -7,14 +7,18 @@ full_inference's.  Options can come from a flat key = value config file
 (--config); explicit flags win over file values, which win over
 defaults.  The converters parse syntax only.  Each value rule is the
 library's own check (the configs, check_fraction, check_count), called
-through _checked before any CSV is read; the CLI keeps only its own
-rules: --target is required, --out must be a directory, --group is
-"all" or 1-based indices within the target's columns, --sim-a-size is
-nonempty, and the CSV and config-file rules.  All numeric output is
-written with 17 significant digits so files round-trip exactly, and
-every command is deterministic given the same inputs and --seed.
+before any CSV is read; the CLI keeps only its own rules: --target is
+required, --out must be a directory, --group is "all" or 1-based indices
+within the target's columns, --sim-a-size is nonempty, and the CSV and
+config-file rules.  All numeric output is written with 17 significant
+digits so files round-trip exactly, and every command is deterministic
+given the same inputs and --seed.
 
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure.
+Exit codes: 0 success; 1 for the caller's input, a ValueError (UsageError
+is one) or an OSError, also from a rule that fires after ingest (a
+source's column count, too few target rows for the folds, a fixed rank
+above min(n, p)); 2 "numerical failure" for anything else, such as
+ConvergenceError or DegenerateError.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from transfarm.transfer import (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags, config keys, or input files; exits with code 1."""
 
 
@@ -268,7 +272,7 @@ _CONVERTERS = {
 # an option row is (config key, default, converter); its flag is the key
 # with dashes for underscores.  Defaults are typed as the converters
 # return them; the converters parse syntax only, and the library's own
-# checks, called through _checked, rule on the values.
+# checks rule on the values.
 _SHARED = [
     ("out", ".", _c_str),
     ("threads", os.cpu_count() or 1, _c_int),
@@ -392,8 +396,7 @@ def _merge(args: argparse.Namespace, options: list) -> dict:
 
 
 def _load_datasets(m: dict):
-    # commands check their flag values first, so a bad one exits 1
-    # before any CSV is read
+    # commands check flag values first: a bad one exits 1 before any CSV is read
     if not m["target"]:
         raise UsageError("--target is required")
     target = Dataset(*ingest_dataset(m["target"], m["response"]))
@@ -401,17 +404,8 @@ def _load_datasets(m: dict):
     return target, sources
 
 
-def _checked(check, *args, **kwargs):
-    # the one place where a library check (a config constructor, or a
-    # rule such as check_count) rejecting a flag value becomes exit 1
-    try:
-        return check(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _pipeline_config(m: dict) -> TransferConfig:
-    return _checked(TransferConfig, **{name: m[key] for name, (key, _, _) in _PIPELINE.items()})
+    return TransferConfig(**{name: m[key] for name, (key, _, _) in _PIPELINE.items()})
 
 
 def _outpath(m: dict, name: str) -> str:
@@ -464,8 +458,8 @@ def _cmd_transfer(m: dict) -> int:
 
 def _cmd_infer(m: dict) -> int:
     config = _pipeline_config(m)
-    _checked(check_fraction, m["alpha"], "alpha")
-    _checked(check_count, m["B"], "draws", 1)
+    check_fraction(m["alpha"], "alpha")
+    check_count(m["B"], "draws", 1)
     target, sources = _load_datasets(m)
     # the group range needs the target's p
     if m["group"] is not None and m["group"][-1] >= target.p:
@@ -491,7 +485,7 @@ def _cmd_simulate(m: dict) -> int:
     a_sizes = sim.pop("a_size")
     if not a_sizes:
         raise UsageError("sim_a_size needs at least one integer")
-    configs = [_checked(SimConfig, **sim, a_size=a_size) for a_size in a_sizes]
+    configs = [SimConfig(**sim, a_size=a_size) for a_size in a_sizes]
     results_rows = []
     summary_rows = []
     total_failures = 0
@@ -545,14 +539,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         options, runner = _COMMANDS[args.command]
         m = _merge(args, options)
-        _checked(check_count, m["threads"], "threads", 1)
+        check_count(m["threads"], "threads", 1)
         if os.path.exists(m["out"]) and not os.path.isdir(m["out"]):
             raise UsageError(f"--out must be a directory, got the file {m['out']}")
         return runner(m)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:  # the caller's input
         print(str(exc), file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - map library failures to exit 2
+    except Exception as exc:  # noqa: BLE001 - any other failure is the computation's
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import SymEigResult, check_matrix, check_vector, sym_eig
+from transfarm.numerics import DegenerateError, SymEigResult, check_matrix, check_vector, sym_eig
 
 # Eigenvalues below this fraction of the leading one are floored before
 # ratios are formed, so trailing zeros cannot fake a huge ratio.
@@ -64,7 +64,7 @@ def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
     Floors the spectrum at EIGENVALUE_FLOOR_REL times the top eigenvalue,
     then returns the index i in 1..max_rank maximising the ratio of the
     i-th to the (i+1)-th eigenvalue (smallest index wins ties).  Invariant
-    to positive rescaling of the spectrum.
+    to positive rescaling; an all-zero spectrum raises DegenerateError.
     """
     values = check_vector(np.asarray(gram_eigenvalues, dtype=np.float64), "eigenvalues")
     if max_rank < 1:
@@ -75,7 +75,7 @@ def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
         )
     top = values[0]
     if top <= 0.0:
-        raise ValueError("leading eigenvalue must be positive")
+        raise DegenerateError("leading eigenvalue must be positive")
     floored = np.maximum(values, EIGENVALUE_FLOOR_REL * top)
     ratios = floored[:max_rank] / floored[1 : max_rank + 1]
     return int(np.argmax(ratios)) + 1

@@ -24,6 +24,10 @@ class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations without converging."""
 
 
+class DegenerateError(RuntimeError):
+    """A computation met a degenerate quantity (a zero variance or spectrum)."""
+
+
 def check_matrix(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import ConvergenceError, check_matrix, check_vector
+from transfarm.numerics import ConvergenceError, DegenerateError, check_matrix, check_vector
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
@@ -392,7 +392,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     sigma moves by less than 1e-6 relative, with lambda0 =
     sqrt(2 log p / n) and the solver's default tolerance and sweep cap.
     Scaling r by a constant scales sigma by the same constant with an
-    identical iterate path.
+    identical iterate path.  A zero r or residual raises DegenerateError.
     """
     z = check_matrix(z, "z")
     r = check_vector(r, "r")
@@ -406,7 +406,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     a, qn, r0n = _scaled([gram_piece(z, r)])
     sigma = math.sqrt(r0n)
     if sigma == 0.0:
-        raise ValueError("response has zero variance")
+        raise DegenerateError("response has zero variance")
     sigma_init = sigma
     coef = np.zeros(p)
     for it in range(100):
@@ -420,7 +420,7 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
         resid = r - z @ coef
         sigma_new = math.sqrt(float(resid @ resid) / n)
         if sigma_new == 0.0:
-            raise ValueError("residual variance collapsed to zero")
+            raise DegenerateError("residual variance collapsed to zero")
         # a noiseless response decays sigma geometrically forever; treat a
         # collapse far below the initial scale as converged-at-zero-noise
         if sigma_new < 1e-8 * sigma_init or abs(sigma_new - sigma) < 1e-6 * sigma:
@@ -480,8 +480,8 @@ def nodewise_precision(
     problem that passes is frozen, its gamma goes straight to row j of
     the result, and the sweeps go on over the live problems' rows in
     index order.  Failures are reported for the lowest failing row:
-    ConvergenceError when it used up DEFAULT_MAX_ITER sweeps, ValueError
-    when its residual variance is at most TAU_SQ_FLOOR * G[j, j].
+    ConvergenceError after DEFAULT_MAX_ITER sweeps, DegenerateError when
+    its residual variance is at most TAU_SQ_FLOOR * G[j, j].
     """
     if isinstance(lambda_node, (bool, np.bool_)) or np.ndim(lambda_node):
         raise ValueError(f"lambda_node must be one number, got {lambda_node!r}")
@@ -579,7 +579,7 @@ def nodewise_precision(
         j = int(np.argmax(bad))
         if not converged[j]:
             raise ConvergenceError(f"nodewise regression {j} hit {DEFAULT_MAX_ITER} sweeps")
-        raise ValueError(
+        raise DegenerateError(
             f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
         )
     theta = coef

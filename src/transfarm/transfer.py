@@ -18,6 +18,7 @@ import numpy as np
 from transfarm.factor import FactorDecomposition, decompose, residualize
 from transfarm.numerics import (
     ConvergenceError,
+    DegenerateError,
     RngStream,
     check_fields,
     check_indices,
@@ -205,7 +206,8 @@ class DetectionReport:
 
 def _splits(target: Dataset, sources: list[Dataset], roles, config: TransferConfig) -> dict:
     """The split of each role in order, role k >= 1 being sources[k - 1],
-    once every source has the target's columns; a failure names its dataset."""
+    once every source has the target's columns; an error keeps its type
+    and names its dataset."""
     for k, src in enumerate(sources, start=1):
         if src.p != target.p:
             raise ValueError(f"source {k} has {src.p} columns, target has {target.p}")
@@ -213,9 +215,9 @@ def _splits(target: Dataset, sources: list[Dataset], roles, config: TransferConf
     for k in roles:
         try:
             splits[k] = (sources[k - 1] if k else target).split(config)
-        except ValueError as exc:
+        except (ValueError, ConvergenceError, DegenerateError) as exc:
             name = f"source {k}" if k else "target"
-            raise ValueError(f"{name}: {exc}") from None
+            raise type(exc)(f"{name}: {exc}") from None
     return splits
 
 

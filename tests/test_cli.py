@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import transfarm.cli
+import transfarm.solver
 from transfarm.cli import UsageError, ingest_dataset, main, write_dataset
 from transfarm.inference import full_inference
 from transfarm.numerics import RngStream
@@ -779,12 +781,61 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
     assert out.read_text() == "kept\n"
 
 
-def test_numerical_failure_exits_2(tmp_path, capsys):
-    paths, _ = make_files(tmp_path, n=12, p=4, n_sources=0)
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_out_under_a_file_exits_1(tmp_path, capsys, command):
+    # --out is made only when the results are written, so the OSError of
+    # making it ends the run; it is an input error all the same
+    paths, _ = make_files(tmp_path, n_sources=0)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    argv = ["--target", paths[0]] if command == "fit" else [
+        "--sim-n0", "40", "--sim-nk", "40", "--sim-p", "30", "--sim-s", "4",
+        "--sim-k-sources", "1", "--sim-a-size", "1", "--sim-replications", "1",
+        "--sim-roster", "only-FARM",
+    ]
+    assert main([command, *argv, "--out", str(afile / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert str(afile / "sub") in err and "numerical failure" not in err
+    assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n, p, message",
+    [
+        (["fit", "--target", "{t}", "--source", "{s}"], 50, 10,
+         "source 1 has 9 columns, target has 10"),
+        (["detect", "--target", "{t}", "--folds", "3"], 5, 10,
+         "need at least 6 target rows for 3 folds, got 5"),
+        (["fit", "--target", "{t}", "--rank", "50"], 12, 4,
+         "target: rank must lie in [0, 4], got 50"),
+    ],
+    ids=["fit-source-columns", "detect-target-rows", "fit-rank-above-limit"],
+)
+def test_input_rule_after_ingest_exits_1(tmp_path, capsys, argv, n, p, message):
+    # these rules need the data, so they fire after ingest; the library
+    # raises a ValueError for each, which is an input error
+    paths, _ = make_files(tmp_path, n=n, p=p, n_sources=0)
+    narrow = str(tmp_path / "narrow.csv")
+    gen = RngStream(3).generator(0)
+    write_dataset(narrow, gen.standard_normal((n, p - 1)), gen.standard_normal(n))
     out = tmp_path / "out"
-    rc = main(["fit", "--target", paths[0], "--out", str(out), "--rank", "50"])
+    argv = [a.replace("{t}", paths[0]).replace("{s}", narrow) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "numerical failure" not in err
+    assert not out.exists()
+
+
+def test_numerical_failure_exits_2(tmp_path, capsys):
+    # one sweep per solve cannot settle the noise-scale fit: a ConvergenceError
+    paths, _ = make_files(tmp_path, n_sources=0)
+    out = tmp_path / "out"
+    with mock.patch.object(transfarm.solver, "DEFAULT_MAX_ITER", 1):
+        rc = main(["fit", "--target", paths[0], "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("numerical failure:")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ConvergenceError: ")
+    assert not out.exists()
 
 
 def _draw(k, n=50, p=8):

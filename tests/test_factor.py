@@ -11,6 +11,7 @@ from transfarm.factor import (
     residualize,
     select_rank,
 )
+from transfarm.numerics import DegenerateError
 
 INVARIANT_TOL = 1e-8
 
@@ -56,6 +57,14 @@ def test_select_rank_errors():
         select_rank(values, 0)
     with pytest.raises(ValueError):
         select_rank(values, 3)  # needs max_rank + 1 eigenvalues
+
+
+def test_select_rank_all_zero_spectrum_is_degenerate():
+    # an all-zero design has no factor to find: the spectrum, not the
+    # argument's form, is at fault, so the error is not a ValueError
+    with pytest.raises(DegenerateError, match="leading eigenvalue must be positive") as got:
+        select_rank(np.zeros(4), 2)
+    assert not isinstance(got.value, ValueError)
 
 
 def test_rank_search_cap(monkeypatch):

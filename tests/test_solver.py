@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from _oracles import nodewise_oracle, ols, pooled_objective, split_lasso
 from transfarm import solver
-from transfarm.numerics import ConvergenceError, RngStream
+from transfarm.numerics import ConvergenceError, DegenerateError, RngStream
 from transfarm.simlab import SimConfig, generate
 from transfarm.solver import (
     DEFAULT_MAX_ITER,
@@ -828,9 +828,11 @@ def test_scaled_lasso_exact_homogeneity():
 
 
 def test_scaled_lasso_zero_response_rejected():
+    # a zero response is a degenerate quantity, not a malformed argument
     z = np.random.default_rng(0).standard_normal((20, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateError, match="response has zero variance") as got:
         scaled_lasso(z, np.zeros(20))
+    assert not isinstance(got.value, ValueError)
 
 
 # ----------------------------------------------------------------------
@@ -884,7 +886,7 @@ def test_nodewise_degenerate_column_reported():
     u[:, 2] = 0.0
     # the floor is relative to G[j, j], so a zero column raises at any scale
     for scale in (2.0**-20, 1.0, 2.0**20):
-        with pytest.raises(ValueError, match="column 2"):
+        with pytest.raises(DegenerateError, match="column 2"):
             nodewise_precision(u * scale, lambda_node=0.0)
 
 
@@ -911,7 +913,7 @@ def test_nodewise_floor_is_relative_at_a_large_column_scale():
     # cleared an absolute floor and gave a theta of rounding error
     u = one_factor_design()
     u[:, 1] = u[:, 0]
-    with pytest.raises(ValueError, match=r"degenerate at column 0 \("):
+    with pytest.raises(DegenerateError, match=r"degenerate at column 0 \("):
         nodewise_precision(u * 2.0**20)
 
 
@@ -1055,7 +1057,7 @@ def batched_reference(u, lambdas, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         j = int(np.argmax(bad))
         if not converged[j]:
             raise ConvergenceError(f"nodewise regression {j} hit {max_iter} sweeps")
-        raise ValueError(
+        raise DegenerateError(
             f"nodewise residual variance degenerate at column {j} ({tau_sq[j]:.3e})"
         )
     theta = coef
@@ -1068,7 +1070,7 @@ def outcome(fn):
     """The bytes of (theta, tau_sq), or the type and text of the error."""
     try:
         theta, tau_sq = fn()
-    except (ValueError, ConvergenceError) as exc:
+    except (DegenerateError, ConvergenceError) as exc:
         return type(exc).__name__, str(exc)
     return theta.tobytes(), tau_sq.tobytes()
 
@@ -1124,7 +1126,7 @@ def test_nodewise_reports_lowest_degenerate_column():
     u = gen.standard_normal((30, 7))
     u[:, 2] = 0.0
     u[:, 5] = 0.0
-    with pytest.raises(ValueError, match=r"column 2 \("):
+    with pytest.raises(DegenerateError, match=r"column 2 \("):
         nodewise_precision(u, lambda_node=0.05)
 
 

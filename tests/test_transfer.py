@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import transfarm.factor
 import transfarm.transfer
 from transfarm.factor import decompose, residualize
-from transfarm.numerics import RngStream, spiked_ar1_normal
+from transfarm.numerics import DegenerateError, RngStream, spiked_ar1_normal
 from transfarm.simlab import SimConfig
 from transfarm.solver import (
     LassoProblem,
@@ -183,6 +183,17 @@ def test_source_set_validation():
     narrow = Dataset(x=np.ones((40, 9)), y=np.zeros(40))
     with pytest.raises(ValueError):
         two_step_fit(target, [narrow], (1,), TransferConfig(rank=1))
+
+
+def test_split_failure_names_its_dataset_and_keeps_its_type():
+    beta = sparse_beta(10, 2)
+    target = make_dataset(40, 10, beta, seed=32)
+    zero = Dataset(x=np.zeros((40, 10)), y=make_dataset(40, 10, beta, seed=33).y)
+    sources = [make_dataset(40, 10, beta, seed=34), zero]
+    with pytest.raises(DegenerateError, match="^source 2: leading eigenvalue must be positive$"):
+        two_step_fit(target, sources, (1, 2), TransferConfig())
+    with pytest.raises(ValueError, match=re.escape("target: rank must lie in [0, 10], got 50")):
+        two_step_fit(target, sources, (1,), TransferConfig(rank=50))
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(1.0), True, np.bool_(True), "1"])
