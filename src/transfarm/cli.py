@@ -8,17 +8,19 @@ full_inference's.  Options can come from a flat key = value config file
 defaults.  The converters parse syntax only.  Each value rule is the
 library's own check (the configs, check_fraction, check_count), called
 before any CSV is read; the CLI keeps only its own rules: --target is
-required, --out must be a directory, --group is "all" or 1-based indices
-within the target's columns, --sim-a-size is nonempty, and the CSV and
-config-file rules.  All numeric output is written with 17 significant
-digits so files round-trip exactly, and every command is deterministic
-given the same inputs and --seed.
+required, --out and its nearest existing ancestor must be directories,
+--group is "all" or 1-based indices within the target's columns,
+--sim-a-size is nonempty, and the CSV and config-file rules.  All
+numeric output is written with 17 significant digits so files
+round-trip exactly, and every command is deterministic given the same
+inputs and --seed.
 
 Exit codes: 0 success; 1 for the caller's input, a ValueError (UsageError
 is one) or an OSError, also from a rule that fires after ingest (a
 source's column count, too few target rows for the folds, a fixed rank
 above min(n, p)); 2 "numerical failure" for anything else, such as
-ConvergenceError or DegenerateError.
+ConvergenceError or DegenerateError (a zero variance or spectrum, or a
+Gram matrix that overflows).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import warnings
 import numpy as np
 
 from transfarm.inference import full_inference
-from transfarm.numerics import check_count, check_fraction, check_matrix, check_vector
+from transfarm.numerics import check_count, check_design, check_fraction
 from transfarm.simlab import SimConfig, run_experiment
 from transfarm.transfer import (
     Dataset,
@@ -175,10 +177,7 @@ def _write_csv(path: str, header: list[str], rows):
 def write_dataset(path: str, x: np.ndarray, y: np.ndarray):
     """Emit a dataset as a CSV with header y,x1,...,xp that ingest_dataset
     reads back."""
-    x = check_matrix(x, "x")
-    y = check_vector(y, "y")
-    if y.size != x.shape[0]:
-        raise ValueError(f"x has {x.shape[0]} rows but y has {y.size}")
+    x, y = check_design(x, y)
     # '%.17g' % v gives the bytes _fmt gives a float: one formatter serves both
     line = ",".join(["%.17g"] * (x.shape[1] + 1)) + "\n"
     with open(path, "w", newline="") as fh:
@@ -540,8 +539,14 @@ def main(argv=None) -> int:
         options, runner = _COMMANDS[args.command]
         m = _merge(args, options)
         check_count(m["threads"], "threads", 1)
-        if os.path.exists(m["out"]) and not os.path.isdir(m["out"]):
-            raise UsageError(f"--out must be a directory, got the file {m['out']}")
+        # --out is made only when the results are written, so a file in its
+        # way is found now, at --out or at its nearest existing ancestor
+        found = m["out"]
+        while found and not os.path.exists(found):
+            found = os.path.dirname(found)
+        if found and not os.path.isdir(found):
+            under = "" if found == m["out"] else f"{m['out']} under "
+            raise UsageError(f"--out must be a directory, got {under}the file {found}")
         return runner(m)
     except (ValueError, OSError) as exc:  # the caller's input
         print(str(exc), file=sys.stderr)

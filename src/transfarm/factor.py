@@ -81,6 +81,16 @@ def select_rank(gram_eigenvalues: np.ndarray, max_rank: int) -> int:
     return int(np.argmax(ratios)) + 1
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """x @ x.T; one that overflows raises DegenerateError.  Its diagonal
+    bounds every other entry (Cauchy-Schwarz), so only that is tested."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.T
+    if not np.isfinite(np.diagonal(gram)).all():
+        raise DegenerateError("the Gram matrix x @ x.T overflows; rescale x")
+    return gram
+
+
 def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
     """Principal-component factor split of a design matrix.
 
@@ -90,6 +100,7 @@ def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
     read-only view of x.  The split stores the factors, the loadings and
     that view, not the n x p idiosyncratic block, which it re-forms from
     x on each read; so x must not be modified while the split is used.
+    A Gram matrix x @ x.T that overflows raises DegenerateError.
     """
     x = check_matrix(x, "x")
     n, p = x.shape
@@ -100,7 +111,7 @@ def decompose(x: np.ndarray, rank: int | None = None) -> FactorDecomposition:
         raise ValueError(f"rank must lie in [0, {limit}], got {rank}")
 
     # a rank-0 split passes x through and needs no spectrum
-    eig = SymEigResult(np.zeros(0), np.zeros((n, 0))) if rank == 0 else sym_eig(x @ x.T)
+    eig = SymEigResult(np.zeros(0), np.zeros((n, 0))) if rank == 0 else sym_eig(_gram(x))
     gram_eigenvalues = eig.eigenvalues
     if rank is None:
         # the gram spectrum dies at the column count, so an uncapped ratio

@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from transfarm.numerics import (
-    RngStream,
-    check_count,
-    check_fraction,
-    check_indices,
-    check_matrix,
+    RngStream, check_count, check_fraction, check_indices, check_matrix, check_nonnegative,
     check_vector,
 )
 from transfarm.solver import nodewise_precision
@@ -79,12 +75,10 @@ def debias(
 def _check_group(group, p: int) -> tuple[int, ...]:
     if group is None:
         return tuple(range(p))
-    out = sorted(set(check_indices(group, "group")))
+    out = check_indices(group, "group", 0, p - 1)
     if not out:
         raise ValueError("group must be nonempty")
-    if out[0] < 0 or out[-1] >= p:
-        raise ValueError(f"group indices must lie in [0, {p - 1}]")
-    return tuple(out)
+    return out
 
 
 def multiplier_bootstrap(
@@ -110,8 +104,7 @@ def multiplier_bootstrap(
     n, p = u.shape
     if theta.shape != (p, p):
         raise ValueError(f"theta has shape {theta.shape}, expected ({p}, {p})")
-    if sigma_hat < 0 or not np.isfinite(sigma_hat):
-        raise ValueError(f"sigma_hat must be finite and nonnegative, got {sigma_hat}")
+    check_nonnegative(sigma_hat, "sigma_hat")
     g = _check_group(group, p)
     rows = theta[list(g), :]
     if studentized:

@@ -1,4 +1,4 @@
-"""Deterministic numerical kernels: eigendecomposition and random sampling.
+"""Deterministic numerical kernels, value rules and the error types.
 
 Everything downstream funnels its linear algebra and randomness through
 this module so that determinism and sign conventions are fixed in one
@@ -6,6 +6,15 @@ place.  The gaussian sampler, spiked_ar1_normal, draws rows with AR(1)
 correlation plus a rank-one spike in O(n·p): it applies the Cholesky
 factor L = L_T·L_A (the AR(1) recursion times the rank-one update)
 without forming the covariance.
+
+Each value rule the package shares has its home here, and every caller
+calls it rather than a copy: check_matrix and check_vector (finite
+arrays), check_design (a design and its response, row for row),
+check_fields (a config's fields against their annotations),
+check_count, check_fraction, check_nonnegative and check_indices (a
+sorted set of integers within a range).  A broken rule raises a
+ValueError.  ConvergenceError and DegenerateError, which are not
+ValueErrors, are the computation's failures.
 """
 
 from __future__ import annotations
@@ -105,15 +114,35 @@ def check_fraction(value, name: str) -> None:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {value}")
 
 
-def check_indices(values, name: str = "indices") -> list[int]:
-    """values as Python ints; an entry that is not a Python or numpy
-    integer (a bool, or a float even when integral) raises."""
-    out = []
+def check_nonnegative(value, name: str) -> None:
+    """value must be finite and at least 0, which NaN is not."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def check_indices(values, name: str, lo: int, hi: int) -> tuple[int, ...]:
+    """The sorted tuple of the distinct values, as Python ints, each within
+    [lo, hi]; an entry that is not a Python or numpy integer (a bool, or a
+    float even when integral) raises, as does one outside the range."""
+    out = set()
     for v in values:
         if not _is_integer(v):
             raise ValueError(f"{name} entries must be integers, got {v!r}")
-        out.append(int(v))
+        out.add(int(v))
+    out = tuple(sorted(out))
+    if out and (out[0] < lo or out[-1] > hi):
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {list(out)}")
     return out
+
+
+def check_design(x, y, x_name: str = "x", y_name: str = "y") -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) as a finite matrix and a finite vector with one entry per row
+    of x; errors name them."""
+    x = check_matrix(x, x_name)
+    y = check_vector(y, y_name)
+    if x.shape[0] != y.size:
+        raise ValueError(f"{x_name} has {x.shape[0]} rows but {y_name} has {y.size}")
+    return x, y
 
 
 # ======================================================================

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from transfarm.numerics import (
-    RngStream,
-    check_count,
-    check_fields,
-    check_indices,
-    spiked_ar1_normal,
+    RngStream, check_count, check_fields, check_indices, spiked_ar1_normal,
 )
 from transfarm.transfer import (
     MODE_FARM,
@@ -38,19 +34,21 @@ from transfarm.transfer import (
     two_step_fit,
 )
 
-FARM_ESTIMATORS = (
-    "only-FARM",
-    "Trans-FARM",
-    "Oracle-Trans-FARM",
-    "Pooled-Trans-FARM",
-)
-LASSO_ESTIMATORS = (
-    "only-Lasso",
-    "Trans-Lasso",
-    "Oracle-Trans-Lasso",
-    "Pooled-Trans-Lasso",
-)
-ALL_ESTIMATORS = FARM_ESTIMATORS + LASSO_ESTIMATORS
+# The estimators of the numerical studies: name -> (mode, the sources it pools:
+# "none", those detect_sources selects, the true "informative" ones, or "all")
+ESTIMATORS = {
+    "only-FARM": (MODE_FARM, "none"),
+    "Trans-FARM": (MODE_FARM, "detected"),
+    "Oracle-Trans-FARM": (MODE_FARM, "informative"),
+    "Pooled-Trans-FARM": (MODE_FARM, "all"),
+    "only-Lasso": (MODE_LASSO, "none"),
+    "Trans-Lasso": (MODE_LASSO, "detected"),
+    "Oracle-Trans-Lasso": (MODE_LASSO, "informative"),
+    "Pooled-Trans-Lasso": (MODE_LASSO, "all"),
+}
+FARM_ESTIMATORS = tuple(name for name, (mode, _) in ESTIMATORS.items() if mode == MODE_FARM)
+LASSO_ESTIMATORS = tuple(name for name, (mode, _) in ESTIMATORS.items() if mode == MODE_LASSO)
+ALL_ESTIMATORS = tuple(ESTIMATORS)
 
 # Fraction of failed estimator runs that aborts the whole experiment.
 FAILURE_BUDGET = 0.2
@@ -116,7 +114,7 @@ class SimConfig:
             )
         if not self.roster:
             raise ValueError("roster must name at least one estimator")
-        unknown = [name for name in self.roster if name not in ALL_ESTIMATORS]
+        unknown = [name for name in self.roster if name not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}; choose from {ALL_ESTIMATORS}")
         twice = sorted({name for name in self.roster if self.roster.count(name) > 1})
@@ -124,7 +122,7 @@ class SimConfig:
             raise ValueError(f"roster names {twice} more than once")
         # the pipeline checks its own knobs: build the config a replication uses
         _transfer_config(self, MODE_FARM, 0)
-        if {"Trans-FARM", "Trans-Lasso"} & set(self.roster):
+        if any(ESTIMATORS[name][1] == "detected" for name in self.roster):
             check_fold_rows(self.n0, self.folds)
 
 
@@ -215,13 +213,11 @@ def generate(
     if informative is None:
         informative = _draw_informative(config, rng.generator(1, 0))
     else:
-        informative = tuple(sorted(set(check_indices(informative, "informative"))))
+        informative = check_indices(informative, "informative", 1, config.k_sources)
         if len(informative) != config.a_size:
             raise ValueError(
                 f"informative has {len(informative)} entries, expected {config.a_size}"
             )
-        if informative and (informative[0] < 1 or informative[-1] > config.k_sources):
-            raise ValueError(f"informative sources must lie in 1..{config.k_sources}")
 
     beta = np.zeros(p)
     beta[: config.s] = config.signal
@@ -289,24 +285,21 @@ def _run_replication(config: SimConfig, rep: int, informative):
     them in roster order and held until the replication ends."""
     rng = RngStream(config.base_seed, 0, (0, rep))
     target, sources, truth = generate(config, rng, informative)
-    all_sources = tuple(range(1, config.k_sources + 1))
+    pools = {"none": (), "informative": truth.informative,
+             "all": tuple(range(1, config.k_sources + 1))}
     fits: dict[tuple[str, tuple[int, ...]], TransferFit] = {}
     rows: list[SimRow] = []
     failures: list[tuple[int, str, str]] = []
     for name in config.roster:
-        mode = MODE_FARM if name in FARM_ESTIMATORS else MODE_LASSO
+        mode, pool = ESTIMATORS[name]
         cfg = _transfer_config(config, mode, rep)
         start = time.perf_counter()
         try:
             selected = None
-            if name in ("only-FARM", "only-Lasso"):
-                chosen = ()
-            elif name in ("Oracle-Trans-FARM", "Oracle-Trans-Lasso"):
-                chosen = truth.informative
-            elif name in ("Pooled-Trans-FARM", "Pooled-Trans-Lasso"):
-                chosen = all_sources
-            else:  # Trans-FARM / Trans-Lasso
+            if pool == "detected":
                 selected = chosen = detect_sources(target, sources, cfg).selected
+            else:
+                chosen = pools[pool]
             key = (mode, chosen)  # every source set here is a sorted tuple
             if key not in fits:
                 fits[key] = two_step_fit(target, sources, chosen, cfg)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from transfarm.numerics import ConvergenceError, DegenerateError, check_matrix, check_vector
+from transfarm.numerics import (
+    ConvergenceError, DegenerateError, check_design, check_matrix, check_nonnegative, check_vector,
+)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
@@ -41,8 +43,7 @@ SUPPORT_PIVOT_FLOOR = 1e-8
 
 def penalty_level(sigma: float, p: int, n_effective: int, lambda_c: float = DEFAULT_LAMBDA_C) -> float:
     """Penalty rule lambda = c * sigma * sqrt(2 log p / N)."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_nonnegative(sigma, "sigma")
     if p < 1 or n_effective < 1:
         raise ValueError("p and n_effective must be positive")
     return lambda_c * sigma * math.sqrt(2.0 * math.log(p) / n_effective)
@@ -64,14 +65,17 @@ class GramPiece:
 
 
 def gram_piece(z: np.ndarray, r: np.ndarray, name: str = "block") -> GramPiece:
-    """The checked Gram piece of one block; errors name it."""
-    z = check_matrix(z, f"{name} design")
-    r = check_vector(r, f"{name} response")
-    if z.shape[0] != r.size:
-        raise ValueError(f"{name}: design has {z.shape[0]} rows, response has {r.size}")
+    """The checked Gram piece of one block; errors name it.  A piece that
+    overflows raises DegenerateError: z.T z is tested on its diagonal,
+    which bounds every other entry (Cauchy-Schwarz), beside z.T r and r.T r."""
+    z, r = check_design(z, r, f"{name} design", f"{name} response")
     if z.shape[0] < 1:
         raise ValueError(f"{name} is empty")
-    return GramPiece(z.T @ z, z.T @ r, float(r @ r), z.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz, zr, rr = z.T @ z, z.T @ r, float(r @ r)
+    if not (math.isfinite(rr) and np.isfinite(np.diagonal(zz)).all() and np.isfinite(zr).all()):
+        raise DegenerateError(f"{name}: the Gram piece overflows; rescale the data")
+    return GramPiece(zz, zr, rr, z.shape[0])
 
 
 def sum_pieces(pieces) -> GramPiece:
@@ -120,8 +124,7 @@ class LassoProblem:
                 raise ValueError(f"block {i} has {block.p} columns, expected {pieces[0].p}")
             pieces.append(block)
         self.blocks = pieces
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        check_nonnegative(self.lam, "lam")
         if self.offset is not None:
             self.offset = check_vector(self.offset, "offset")
             if self.offset.size != self.p:
@@ -394,16 +397,13 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
     Scaling r by a constant scales sigma by the same constant with an
     identical iterate path.  A zero r or residual raises DegenerateError.
     """
-    z = check_matrix(z, "z")
-    r = check_vector(r, "r")
+    z, r = check_design(z, r, "z", "r")
     n, p = z.shape
-    if r.size != n:
-        raise ValueError(f"z has {n} rows, r has {r.size}")
     if n < 1 or p < 1:
         raise ValueError("z must have at least one row and one column")
     lambda0 = math.sqrt(2.0 * math.log(p) / n)
 
-    a, qn, r0n = _scaled([gram_piece(z, r)])
+    a, qn, r0n = _scaled([gram_piece(z, r, "noise-scale fit")])
     sigma = math.sqrt(r0n)
     if sigma == 0.0:
         raise DegenerateError("response has zero variance")
@@ -436,15 +436,15 @@ def scaled_lasso(z: np.ndarray, r: np.ndarray) -> ScaledLassoFit:
 
 @dataclass
 class PrecisionEstimate:
-    """Row-wise regression inverse of a Gram matrix u.T u / n.
+    """Row-wise regression inverse theta of a Gram matrix u.T u / n.
 
-    Row j is omega_j / tau_sq[j] where omega_j has a one at j and minus
-    the nodewise Lasso coefficients elsewhere, and tau_sq[j] is the
-    corresponding residual scale (1/n) u_j.T (u_j - U_{-j} gamma_j).
+    Row j is omega_j / tau_sq_j where omega_j has a one at j and minus
+    the nodewise Lasso coefficients gamma_j elsewhere, and tau_sq_j is the
+    corresponding residual scale (1/n) u_j.T (u_j - U_{-j} gamma_j); so
+    theta[j, j] = 1 / tau_sq_j and gamma_j = -theta[j, -j] / theta[j, j].
     """
 
     theta: np.ndarray
-    tau_sq: np.ndarray
 
 
 def nodewise_precision(
@@ -455,7 +455,7 @@ def nodewise_precision(
     """Nodewise-Lasso precision estimate of (u.T u / n)^(-1).
 
     Every row takes one penalty: lambda_node, or lambda_c * sqrt(log p / n)
-    when it is None.  Either must be finite and nonnegative; lambda_node
+    when it is None.  Either must pass check_nonnegative; lambda_node
     must be one number, not a bool, a list or an array with an axis.
 
     Row j is the Lasso of column j on the other columns, with Gram
@@ -491,8 +491,7 @@ def nodewise_precision(
         raise ValueError(f"u must have at least 2 rows and 1 column, got {u.shape}")
     name, lam = ("lambda_c", lambda_c) if lambda_node is None else ("lambda_node", lambda_node)
     lam = float(lam)
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {lam}")
+    check_nonnegative(lam, name)
     if lambda_node is None:
         lam *= math.sqrt(math.log(p) / n)
 
@@ -585,4 +584,4 @@ def nodewise_precision(
     theta = coef
     theta /= -tau_sq[:, None]
     np.fill_diagonal(theta, 1.0 / tau_sq)
-    return PrecisionEstimate(theta=theta, tau_sq=tau_sq)
+    return PrecisionEstimate(theta=theta)

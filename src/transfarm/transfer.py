@@ -17,13 +17,7 @@ import numpy as np
 
 from transfarm.factor import FactorDecomposition, decompose, residualize
 from transfarm.numerics import (
-    ConvergenceError,
-    DegenerateError,
-    RngStream,
-    check_fields,
-    check_indices,
-    check_matrix,
-    check_vector,
+    ConvergenceError, DegenerateError, RngStream, check_design, check_fields, check_indices,
 )
 from transfarm.solver import (
     DEFAULT_LAMBDA_C,
@@ -99,12 +93,7 @@ class Dataset:
     _splits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.x = check_matrix(self.x, "x")
-        self.y = check_vector(self.y, "y")
-        if self.x.shape[0] != self.y.size:
-            raise ValueError(
-                f"x has {self.x.shape[0]} rows but y has {self.y.size}"
-            )
+        self.x, self.y = check_design(self.x, self.y)
         if self.x.shape[0] < 2:
             raise ValueError("dataset needs at least 2 rows")
         # the memoised splits are made from x and y, so neither may change;
@@ -257,11 +246,7 @@ def two_step_fit(
     formed and then dropped.  Both ways give the same bits.
     """
     config = config or TransferConfig()
-    chosen = sorted(set(check_indices(source_set, "source_set")))
-    if chosen and (chosen[0] < 1 or chosen[-1] > len(sources)):
-        raise ValueError(
-            f"source_set must be within 1..{len(sources)}, got {chosen}"
-        )
+    chosen = check_indices(source_set, "source_set", 1, len(sources))
 
     splits = _splits(target, sources, (0, *chosen), config)
     sigma = splits[0].sigma
@@ -269,7 +254,7 @@ def two_step_fit(
     pooled_piece = splits[0].take_pooled([splits[k] for k in chosen])
     if pooled_piece is None:
         pooled_piece = sum_pieces(
-            chain([target_piece], (gram_piece(*splits[k].block) for k in chosen))
+            chain([target_piece], (gram_piece(*splits[k].block, f"source {k}") for k in chosen))
         )
     pooled, lam_pooled = _lasso([pooled_piece], sigma, config, "transferring step")
     del pooled_piece
@@ -280,7 +265,7 @@ def two_step_fit(
         pooled_coef=pooled,
         correction_coef=correction,
         coef=pooled + correction,
-        source_set=tuple(chosen),
+        source_set=chosen,
         lambda_pooled=lam_pooled,
         lambda_correction=lam_corr,
         sigma_hat=sigma,
@@ -371,7 +356,7 @@ def detect_sources(
     for k in range(k_total + 1):
         extra = []  # source k - 1's piece goes before source k's is formed
         if k:
-            extra.append(gram_piece(*splits[k].block))
+            extra.append(gram_piece(*splits[k].block, f"source {k}"))
         coef = first
         for r, hold in enumerate(split):
             what = (

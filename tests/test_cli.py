@@ -782,21 +782,29 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate"])
-def test_out_under_a_file_exits_1(tmp_path, capsys, command):
-    # --out is made only when the results are written, so the OSError of
-    # making it ends the run; it is an input error all the same
+def test_out_under_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
+    # --out is made only when the results are written, but a file in its
+    # way is found before any CSV is read or any replication runs
     paths, _ = make_files(tmp_path, n_sources=0)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for name in ("ingest_dataset", "run_experiment"):
+        monkeypatch.setattr(transfarm.cli, name, no_work)
     argv = ["--target", paths[0]] if command == "fit" else [
         "--sim-n0", "40", "--sim-nk", "40", "--sim-p", "30", "--sim-s", "4",
         "--sim-k-sources", "1", "--sim-a-size", "1", "--sim-replications", "1",
         "--sim-roster", "only-FARM",
     ]
-    assert main([command, *argv, "--out", str(afile / "sub")]) == 1
-    err = capsys.readouterr().err
-    assert str(afile / "sub") in err and "numerical failure" not in err
-    assert afile.read_text() == "kept\n"
+    for out in (afile / "sub", afile / "sub" / "deeper"):
+        assert main([command, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--out must be a directory, got {out} under the file {afile}" in err
+        assert "numerical failure" not in err
+        assert afile.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
@@ -859,6 +867,10 @@ def degenerate_inputs(case):
         target = (target[0], np.full(50, 2.0))
     elif case == "all-zero-source":
         sources[1] = (np.zeros((50, 8)), sources[1][1])
+    elif case.startswith("overflowing-gram"):
+        # every cell is finite, but x @ x.T (farm) or z.T z (lasso) overflows
+        extra = ["--mode", "lasso"] if case.endswith("lasso") else []
+        return target, [(x * 1e160, y) for x, y in sources], extra
     for x, _ in [target, *sources]:
         if case == "constant-column":
             x[:, 0] = 3.0
@@ -870,7 +882,8 @@ def degenerate_inputs(case):
 @pytest.mark.parametrize(
     "case",
     ["constant-column", "duplicate-column", "p-much-larger-than-n", "min-n-for-folds",
-     "rank-at-limit", "constant-y", "all-zero-source"],
+     "rank-at-limit", "constant-y", "all-zero-source", "overflowing-gram",
+     "overflowing-gram-lasso"],
 )
 def test_degenerate_inputs(tmp_path, capsys, case):
     target, sources, extra = degenerate_inputs(case)
@@ -886,6 +899,12 @@ def test_degenerate_inputs(tmp_path, capsys, case):
         # the failing dataset is named
         assert rc == 2
         assert "source 2: leading eigenvalue must be positive" in err
+        return
+    if case.startswith("overflowing-gram"):
+        # named, with no RuntimeWarning (an error here) and no sweeps on NaN
+        assert rc == 2
+        assert err.startswith("numerical failure: DegenerateError: source 1: the Gram ")
+        assert "overflows" in err
         return
     assert rc == 0, err
     for name in ("fit.csv", "detection.csv"):

@@ -361,7 +361,7 @@ def test_full_inference_rejects_bad_draws_before_any_fit(monkeypatch):
     cases = [
         ({"draws": 2.5}, "draws must be an integer of at least 1, got 2.5"),
         ({"alpha": 1.5}, "alpha must lie strictly inside (0, 1), got 1.5"),
-        ({"group": (4,)}, "group indices must lie in [0, 3]"),
+        ({"group": (4,)}, "group must lie in [0, 3], got [4]"),
         ({"group": ()}, "group must be nonempty"),
     ]
     for kw, message in cases:

@@ -1,16 +1,23 @@
 """Eigensolver contract, RNG streams, and gaussian sampling."""
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from _oracles import charpoly_eig, fix_sign
 from transfarm.numerics import (
     RngStream,
+    check_design,
     check_fields,
     check_fraction,
+    check_indices,
+    check_nonnegative,
     spiked_ar1_normal,
     sym_eig,
 )
@@ -210,3 +217,52 @@ def test_check_fraction_takes_the_open_interval_only(value):
     check_fraction(1.0 - 1e-12, "alpha")
     with pytest.raises(ValueError, match=r"alpha must lie strictly inside \(0, 1\), got"):
         check_fraction(value, "alpha")
+
+
+@given(st.lists(st.integers(-3, 12)), st.booleans())
+def test_check_indices_is_the_sorted_distinct_set_within_its_range(values, as_numpy):
+    entries = [np.int64(v) for v in values] if as_numpy else values
+    want = tuple(sorted(set(values)))
+    if all(0 <= v <= 9 for v in values):
+        got = check_indices(entries, "idx", 0, 9)
+        assert got == want and all(type(v) is int for v in got)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"idx must lie in [0, 9], got {list(want)}")):
+            check_indices(entries, "idx", 0, 9)
+
+
+@given(
+    st.lists(st.integers(0, 9)),
+    st.sampled_from([True, False, np.bool_(True), 1.0, 2.5, np.float64(3.0)]),
+    st.integers(0, 10),
+)
+def test_check_indices_rejects_bool_and_float_entries(values, bad, at):
+    values.insert(at, bad)
+    with pytest.raises(ValueError, match=re.escape(f"idx entries must be integers, got {bad!r}")):
+        check_indices(values, "idx", 0, 9)
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(-1e-300)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_check_nonnegative_takes_finite_values_from_zero(value):
+    if math.isfinite(value) and value >= 0.0:
+        check_nonnegative(value, "v")
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"v must be finite and nonnegative, got {value}")):
+            check_nonnegative(value, "v")
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 3))
+def test_check_design_names_both_arrays_on_a_row_mismatch(n, m, p):
+    x, y = np.ones((n, p)), np.ones(m)
+    if n == m:
+        cx, cy = check_design(x, y, "design", "response")
+        assert cx.shape == (n, p) and cy.shape == (n,)
+    else:
+        with pytest.raises(ValueError, match=f"^design has {n} rows but response has {m}$"):
+            check_design(x, y, "design", "response")

@@ -465,6 +465,12 @@ def test_config_validation():
     assert tiny_config(n0=2, s=2, roster=("only-FARM", "Pooled-Trans-Lasso")).n0 == 2
     assert tiny_config(s=0, rho=0.0).s == 0
     assert set(ALL_ESTIMATORS) >= set(SimConfig().roster)
+    # the estimator table keeps the roster's names and order
+    assert ALL_ESTIMATORS == (
+        "only-FARM", "Trans-FARM", "Oracle-Trans-FARM", "Pooled-Trans-FARM",
+        "only-Lasso", "Trans-Lasso", "Oracle-Trans-Lasso", "Pooled-Trans-Lasso",
+    )
+    assert (FARM_ESTIMATORS, LASSO_ESTIMATORS) == (ALL_ESTIMATORS[:4], ALL_ESTIMATORS[4:])
 
 
 def test_stock_gamma0_follows_rank():

@@ -307,7 +307,7 @@ def test_bad_block_is_named():
     cases = [
         ((nan_z, r), "block 1 design contains non-finite entries"),
         ((z, nan_r), "block 1 response contains non-finite entries"),
-        ((z, np.ones(3)), "block 1: design has 4 rows, response has 3"),
+        ((z, np.ones(3)), "block 1 design has 4 rows but block 1 response has 3"),
         ((np.ones((4, 3)), r), "block 1 has 3 columns, expected 2"),
         (gram_piece(np.ones((4, 3)), r), "block 1 has 3 columns, expected 2"),
     ]
@@ -323,8 +323,9 @@ def test_bad_block_is_named():
 def test_penalty_level_formula():
     expected = 0.5 * 2.0 * math.sqrt(2.0 * math.log(100) / 400)
     assert penalty_level(2.0, 100, 400) == expected
-    with pytest.raises(ValueError):
-        penalty_level(-1.0, 10, 10)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"sigma must be finite and nonnegative, got {sigma}"):
+            penalty_level(sigma, 10, 10)
 
 
 # ----------------------------------------------------------------------
@@ -769,7 +770,7 @@ def test_desk_size_solves_end_on_the_exact_finish():
     gram = z.T @ z / 150
     for j in range(200):
         others = np.arange(200) != j
-        gamma = -est.theta[j, others] * est.tau_sq[j]
+        gamma = -est.theta[j, others] / est.theta[j, j]
         g = gram[j, others] - gram[np.ix_(others, others)] @ gamma
         assert kkt_gap(g, gamma, lam_node) <= 1e-12 * math.sqrt(gram[j, j])
 
@@ -875,9 +876,7 @@ def test_nodewise_auto_penalty_contract():
     expected_lam = 0.5 * math.sqrt(math.log(8) / 100)
     explicit = nodewise_precision(u, lambda_node=expected_lam)
     assert est.theta.tobytes() == explicit.theta.tobytes()
-    assert est.tau_sq.tobytes() == explicit.tau_sq.tobytes()
     assert np.all(np.diagonal(est.theta) > 0)
-    assert np.all(est.tau_sq > 0)
 
 
 def test_nodewise_degenerate_column_reported():
@@ -973,19 +972,19 @@ def test_nodewise_matches_row_by_row_oracle(design):
     est = nodewise_precision(u, lambda_node=lam)
     theta, tau_sq = nodewise_oracle(u, np.full(p, lam))
     assert_allclose(est.theta, theta, atol=1e-6)
-    assert_allclose(est.tau_sq, tau_sq, atol=1e-6)
+    assert_allclose(1.0 / np.diagonal(est.theta), tau_sq, atol=1e-6)
     # every row stops where its own solve stops: a problem that kept
     # sweeping after it converged would drift from lasso_fit
     for j in range(p if p > 1 else 0):
         others = np.arange(p) != j
         alone = lasso_fit(LassoProblem([(u[:, others], u[:, j])], lam))
-        assert_allclose(-est.theta[j, others] * est.tau_sq[j], alone.coef, atol=1e-10)
+        assert_allclose(-est.theta[j, others] / est.theta[j, j], alone.coef, atol=1e-10)
 
 
 def batched_reference(u, lambdas, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """The batched nodewise loop as it was before a sweep pushed updates
     only to unvisited columns, took moves from the net change and ran the
-    KKT test only on rows whose move passed: (theta, tau_sq), raising as
+    KKT test only on rows whose move passed: theta, raising as
     nodewise_precision does.  It is the same algorithm, kept verbatim so
     that the rewrite can be checked byte for byte."""
     n, p = u.shape
@@ -1063,23 +1062,23 @@ def batched_reference(u, lambdas, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     theta = coef
     theta /= -tau_sq[:, None]
     np.fill_diagonal(theta, 1.0 / tau_sq)
-    return theta, tau_sq
+    return theta
 
 
 def outcome(fn):
-    """The bytes of (theta, tau_sq), or the type and text of the error."""
+    """The bytes of theta, or the type and text of the error."""
     try:
-        theta, tau_sq = fn()
+        theta = fn()
     except (DegenerateError, ConvergenceError) as exc:
         return type(exc).__name__, str(exc)
-    return theta.tobytes(), tau_sq.tobytes()
+    return theta.tobytes()
 
 
 def assert_same_as_batched_reference(u, lam, max_iter=DEFAULT_MAX_ITER):
     def current():
         with mock.patch.object(solver, "DEFAULT_MAX_ITER", max_iter):
             est = nodewise_precision(u, lambda_node=lam)
-        return est.theta, est.tau_sq
+        return est.theta
 
     lambdas = np.full(u.shape[1], lam)
     assert outcome(current) == outcome(lambda: batched_reference(u, lambdas, max_iter=max_iter))
@@ -1118,7 +1117,6 @@ def test_nodewise_rows_take_the_active_set_steps():
         fast = nodewise_precision(u, lambda_node=0.05)
     est = nodewise_precision(u, lambda_node=0.05)
     assert fast.theta.tobytes() == est.theta.tobytes()
-    assert fast.tau_sq.tobytes() == est.tau_sq.tobytes()
 
 
 def test_nodewise_reports_lowest_degenerate_column():
@@ -1140,4 +1138,4 @@ def test_nodewise_reports_lowest_unconverged_row():
     with mock.patch.object(solver, "DEFAULT_MAX_ITER", 1):
         with pytest.raises(ConvergenceError, match="nodewise regression 1 hit 1 sweeps"):
             nodewise_precision(u, lambda_node=0.01)
-    assert nodewise_precision(u, lambda_node=0.01).tau_sq[0] > 0
+    assert nodewise_precision(u, lambda_node=0.01).theta[0, 0] > 0

@@ -196,6 +196,31 @@ def test_split_failure_names_its_dataset_and_keeps_its_type():
         two_step_fit(target, sources, (1,), TransferConfig(rank=50))
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e160])
+@pytest.mark.parametrize("mode", [MODE_FARM, MODE_LASSO])
+def test_an_overflowing_gram_is_named(mode, scale):
+    # every cell is finite but the Gram overflows: farm mode reported
+    # "a contains non-finite entries" and lasso mode swept 1000 times on NaN
+    beta = sparse_beta(40, 3)
+    target = make_dataset(60, 40, beta, seed=35)
+    sources = [make_dataset(50, 40, beta, seed=36 + k) for k in range(2)]
+    huge = [Dataset(x=d.x * scale, y=d.y) for d in (target, *sources)]
+    what = "the Gram matrix x @ x.T" if mode == MODE_FARM else "the Gram piece"
+    config = TransferConfig(mode=mode)
+    with pytest.raises(DegenerateError, match=re.escape(f"source 1: {what} overflows")):
+        detect_and_fit(target, huge[1:], config)
+    # in lasso mode the target's Gram is first formed by its noise-scale fit
+    where = "target" if mode == MODE_FARM else "noise-scale fit"
+    with pytest.raises(DegenerateError, match=re.escape(f"{where}: {what} overflows")):
+        detect_and_fit(huge[0], sources, config)
+    with pytest.raises(DegenerateError, match=re.escape(f"{where}: {what} overflows")):
+        two_step_fit(huge[0], sources, (1, 2), config)
+    # a piece is tested on its diagonal, z.T r and r.T r
+    for z, r in ((np.full((3, 2), 1e160), np.ones(3)), (np.ones((3, 2)), np.full(3, 1e160))):
+        with pytest.raises(DegenerateError, match="^block: the Gram piece overflows"):
+            gram_piece(z, r)
+
+
 @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(1.0), True, np.bool_(True), "1"])
 def test_source_set_rejects_non_integral_entries(bad):
     beta = sparse_beta(10, 2)
