@@ -8,9 +8,9 @@ full_inference's.  Options can come from a flat key = value config file
 defaults.  The converters parse syntax only.  Each value rule is the
 library's own check (the configs, check_fraction, check_count), called
 before any CSV is read; the CLI keeps only its own rules: --target is
-required, --out and its nearest existing ancestor must be directories,
---group is "all" or 1-based indices within the target's columns,
---sim-a-size is nonempty, and the CSV and config-file rules.  All
+required, --out is nonempty and it or its nearest existing ancestor is
+a directory, --group is "all" or 1-based indices within the target's
+columns, --sim-a-size is nonempty, and the CSV and config-file rules.  All
 numeric output is written with 17 significant digits so files
 round-trip exactly, and every command is deterministic given the same
 inputs and --seed.
@@ -539,8 +539,11 @@ def main(argv=None) -> int:
         options, runner = _COMMANDS[args.command]
         m = _merge(args, options)
         check_count(m["threads"], "threads", 1)
-        # --out is made only when the results are written, so a file in its
-        # way is found now, at --out or at its nearest existing ancestor
+        # --out is made only when the results are written, so an empty path
+        # or a file in its way is found now, at --out or at its nearest
+        # existing ancestor
+        if not m["out"]:
+            raise UsageError("--out must name a directory, got an empty path")
         found = m["out"]
         while found and not os.path.exists(found):
             found = os.path.dirname(found)

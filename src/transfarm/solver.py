@@ -256,8 +256,8 @@ def _fit_gram(a, qn, r0n, lam, offset, start):
     Each sweep visits the live coordinates, those with a[j, j] > 0, in
     index order and soft-thresholds each against the current v.
 
-    A sweep that leaves the sign pattern of delta unchanged, on a nonempty
-    support S, is followed by the exact finish, a primal active-set loop
+    A sweep that leaves the sign pattern of delta unchanged is followed
+    by the exact finish, a primal active-set loop
     (Osborne, Presnell and Turlach 2000, IMA J. Numer. Anal.) run by
     `_active_set_finish`.  Each step solves
     a[S, S] delta_S = (qn - a @ offset)[S] - lam * sign_S with delta zero
@@ -296,7 +296,6 @@ def _fit_gram(a, qn, r0n, lam, offset, start):
     while sweeps < DEFAULT_MAX_ITER:
         max_change = 0.0
         sign = np.sign(delta)
-        nonzero = delta.any()
         for j in coords:
             ajj = diag_l[j]
             dj = delta.item(j)
@@ -318,7 +317,7 @@ def _fit_gram(a, qn, r0n, lam, offset, start):
         sweeps += 1
         if not np.array_equal(np.sign(delta), sign):
             tried = False
-        elif nonzero and not tried:
+        elif not tried:
             tried = True
             finish = _active_set_finish(a, qn, base, lam, offset, live, delta, cap)
             if finish is not None:
@@ -467,7 +466,7 @@ def nodewise_precision(
     every sweep.  A visit reads only its own column of G @ gamma, so it
     adds its update only to the columns after k, which the sweep has not
     visited yet; the fresh product replaces the rest.  A problem whose
-    nonempty sign pattern survives a sweep takes the active-set steps of
+    sign pattern survives a sweep takes the active-set steps of
     `_active_set_finish` on base G[j], with coordinate j not a variable,
     and so ends where a solve of its own ends: on the first support point
     that keeps its signs with a KKT violation of at most
@@ -540,11 +539,11 @@ def nodewise_precision(
         # holds its moves
         net = gam - start
         moves = np.abs(net, out=net).max(axis=1)
-        # problems whose nonempty sign pattern survived the sweep, and has
-        # not failed its finish yet, take the active-set steps below
+        # problems whose sign pattern survived the sweep, and has not
+        # failed its finish yet, take the active-set steps below
         stable = (np.sign(gam, out=net) == np.sign(start, out=start)).all(axis=1)
         tried[live[~stable]] = False
-        finish = np.flatnonzero(stable & ~tried[live] & gam.any(axis=1))
+        finish = np.flatnonzero(stable & ~tried[live])
         tried[live[finish]] = True
         del net, start, stable  # free them before g below
         np.matmul(gam, gram, out=fit)  # fresh product keeps incremental drift out of the tests below

@@ -158,14 +158,13 @@ class TransferConfig:
 class TransferFit:
     """Result of the two-step estimator.
 
-    coef = pooled_coef + correction_coef exactly; source_set is the sorted
-    tuple of the 1-based positions of the sources that entered the pooled step.
+    coef = pooled_coef + correction_coef exactly; decompositions maps 0, the
+    target, and each pooled source's 1-based position, in order, to its split.
     """
 
     pooled_coef: np.ndarray
     correction_coef: np.ndarray
     coef: np.ndarray
-    source_set: tuple[int, ...]
     lambda_pooled: float
     lambda_correction: float
     sigma_hat: float
@@ -265,7 +264,6 @@ def two_step_fit(
         pooled_coef=pooled,
         correction_coef=correction,
         coef=pooled + correction,
-        source_set=chosen,
         lambda_pooled=lam_pooled,
         lambda_correction=lam_corr,
         sigma_hat=sigma,
@@ -286,27 +284,26 @@ def detect_sources(
 ) -> DetectionReport:
     """Score each source by cross-validated target loss and select.
 
-    Every dataset's factor split is taken up front.  For each fold,
-    a target-only Lasso and one pooled Lasso per source are fit on the
-    remaining folds, and both are scored in place on the held-out rows
-    of the target's split block.  Source k is decided once, by the mean
-    of its own fold losses, which is its reported loss: it is selected
-    when that is at most the target-only loss L0 plus the slack, 2 * L0
-    when config.eps0 is None, else config.eps0 * sigma_hat^2.  A
-    column's mean does not depend on the other sources; from 8 folds on
-    it can differ in the last bit from an axis-0 mean of the table,
-    which numpy sums row by row, not pairwise.
+    Every dataset's factor split is taken up front, and each fold's
+    training Gram piece is formed once.  A fold routine fits a Lasso on
+    each fold's training piece plus an optional extra piece and scores it
+    on the held-out rows of the target's split block.  Detection runs it
+    in two passes.  The target pass, with no extra piece, gives the
+    target-only loss L0, the mean of its fold losses, and the cutoff L0
+    plus the slack: 2 * L0 when config.eps0 is None, else
+    config.eps0 * sigma_hat^2.  The source pass forms each source's piece
+    in turn, runs the routine with it, and decides source k once, by the
+    mean of its own fold losses, which is its reported loss: it is
+    selected when that is at most the cutoff.  A selected source's piece is added with
+    `sum_pieces`, while it is at hand, to a sum that starts from the
+    target's full piece, and each source's piece is dropped before the
+    next one is formed.  A column's mean does not depend on the other
+    sources; from 8 folds on it can differ in the last bit from an axis-0
+    mean of the table, which numpy sums row by row, not pairwise.
 
-    The solves run source-major: the target fits of folds 0, 1, ...
-    first, then the pooled fits of source 1 over the folds, then source
-    2, and so on.  Each fold's training Gram piece is formed once and
-    each source's piece is formed when its turn comes and dropped after
-    its folds.  The cutoff is known once the target's folds are scored,
-    so a selected source's piece is added with `sum_pieces`, while it is
-    at hand, to a sum that starts from the target's full piece.  That
-    sum, the pooled piece of the target plus the selected sources, is
-    left read-only on the target's split (DatasetSplit.pooled) for the
-    two-step fit that follows.  A fit on fold r starts from the same
+    That sum, the pooled piece of the target plus the selected sources,
+    is left read-only on the target's split (DatasetSplit.pooled) for
+    the two-step fit that follows.  A fit on fold r starts from the same
     dataset's fit on fold r - 1, and source k's fit on fold 0 from
     dataset k - 1's fit on fold 0 (the target's for k = 1), so only the
     target's fold 0 starts cold.  A fit that ends on the solver's exact
@@ -342,41 +339,42 @@ def detect_sources(
 
     gen = RngStream(config.seed).generator(0)
     split = np.array_split(gen.permutation(target.n), config.folds)
-    k_total = len(sources)
     fold_pieces = []
     for r in range(config.folds):
         train = np.concatenate([split[i] for i in range(config.folds) if i != r])
         fold_pieces.append(gram_piece(u0[train], y0[train]))
-    # column 0 holds the target-only fits, column k the pooled fits of source k
-    losses = np.zeros((config.folds, k_total + 1))
-    first = None  # the previous dataset's fold-0 fit
-    pooled = gram_piece(u0, y0)
-    per_source = np.zeros(k_total)
-    selected = []
-    for k in range(k_total + 1):
-        extra = []  # source k - 1's piece goes before source k's is formed
-        if k:
-            extra.append(gram_piece(*splits[k].block, f"source {k}"))
-        coef = first
+
+    def fold_losses(extra, coef, what):
+        """Held-out losses of the fits on each fold's training piece plus
+        extra (fold r from fold r - 1's fit, fold 0 from coef); the fold-0 fit."""
+        losses = np.zeros(config.folds)
         for r, hold in enumerate(split):
-            what = (
-                f"detection pooled fit (fold {r}, source {k})" if k
-                else f"detection target fit on fold {r}"
-            )
-            coef, _ = _lasso([fold_pieces[r], *extra], sigma, config, what, warm_start=coef)
+            coef, _ = _lasso([fold_pieces[r], *extra], sigma, config, what % r, warm_start=coef)
             resid = y0[hold] - u0[hold] @ coef
-            losses[r, k] = float(resid @ resid) / hold.size
+            losses[r] = float(resid @ resid) / hold.size
             if r == 0:
                 first = coef
-        if not k:
-            target_loss = float(losses[:, 0].mean())
-            slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
-            cutoff = target_loss + slack
-            continue
-        per_source[k - 1] = losses[:, k].mean()
+        return losses, first
+
+    pooled = gram_piece(u0, y0)
+    fold_target, first = fold_losses([], None, "detection target fit on fold %d")
+    target_loss = float(fold_target.mean())
+    slack = 2.0 * target_loss if config.eps0 is None else config.eps0 * sigma * sigma
+    cutoff = target_loss + slack
+
+    fold_source = np.zeros((config.folds, len(sources)))
+    per_source = np.zeros(len(sources))
+    selected = []
+    for k in range(1, len(sources) + 1):
+        piece = gram_piece(*splits[k].block, f"source {k}")
+        fold_source[:, k - 1], first = fold_losses(
+            [piece], first, f"detection pooled fit (fold %d, source {k})"
+        )
+        per_source[k - 1] = fold_source[:, k - 1].mean()
         if per_source[k - 1] <= cutoff:
-            pooled = sum_pieces([pooled, extra[0]])
+            pooled = sum_pieces([pooled, piece])
             selected.append(k)
+        del piece  # dropped before the next source's piece is formed
     pooled.zz.flags.writeable = pooled.zr.flags.writeable = False
     splits[0].pooled = (tuple(splits[k] for k in selected), pooled)
 
@@ -386,8 +384,8 @@ def detect_sources(
         threshold=slack,
         selected=tuple(selected),
         sigma_hat=sigma,
-        fold_target_losses=losses[:, 0].copy(),
-        fold_source_losses=losses[:, 1:].copy(),
+        fold_target_losses=fold_target,
+        fold_source_losses=fold_source,
         margins=cutoff - per_source,
     )
 

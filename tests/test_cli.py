@@ -784,7 +784,8 @@ def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
 @pytest.mark.parametrize("command", ["fit", "simulate"])
 def test_out_under_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
     # --out is made only when the results are written, but a file in its
-    # way is found before any CSV is read or any replication runs
+    # way, or an empty path, is found before any CSV is read or any
+    # replication runs
     paths, _ = make_files(tmp_path, n_sources=0)
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
@@ -799,10 +800,13 @@ def test_out_under_a_file_exits_1(tmp_path, capsys, monkeypatch, command):
         "--sim-k-sources", "1", "--sim-a-size", "1", "--sim-replications", "1",
         "--sim-roster", "only-FARM",
     ]
-    for out in (afile / "sub", afile / "sub" / "deeper"):
+    for out in (afile / "sub", afile / "sub" / "deeper", ""):
         assert main([command, *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"--out must be a directory, got {out} under the file {afile}" in err
+        if out:
+            assert f"--out must be a directory, got {out} under the file {afile}" in err
+        else:  # os.makedirs("") would fail only after the work
+            assert "--out must name a directory, got an empty path" in err
         assert "numerical failure" not in err
         assert afile.read_text() == "kept\n"
 

@@ -1,6 +1,7 @@
 """Two-step transfer estimator and source detection."""
 
 import re
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -87,7 +88,7 @@ def test_empty_set_reduces_to_single_dataset_lasso():
     lam = penalty_level(sigma, 40, 120)
     direct = lasso_fit(LassoProblem([(d.idiosyncratic, y_tilde)], lam=lam))
     assert_allclose(fit.coef, direct.coef, atol=1e-6)
-    assert fit.source_set == ()
+    assert list(fit.decompositions) == [0]
 
 
 def test_coef_identity_and_metadata():
@@ -96,9 +97,8 @@ def test_coef_identity_and_metadata():
     source = make_dataset(80, 25, beta, seed=24)
     fit = two_step_fit(target, [source], (1,), TransferConfig(rank=1))
     assert np.array_equal(fit.coef, fit.pooled_coef + fit.correction_coef)
-    assert fit.source_set == (1,)
     assert fit.lambda_pooled < fit.lambda_correction  # pooled N is larger
-    assert set(fit.decompositions) == {0, 1}
+    assert list(fit.decompositions) == [0, 1]
 
 
 def test_source_order_invariance():
@@ -110,7 +110,7 @@ def test_source_order_invariance():
     forward = two_step_fit(target, [s1, s2], (1, 2), config)
     backward = two_step_fit(target, [s1, s2], (2, 1), config)
     assert np.array_equal(forward.coef, backward.coef)
-    assert forward.source_set == backward.source_set == (1, 2)
+    assert list(forward.decompositions) == list(backward.decompositions) == [0, 1, 2]
 
 
 def test_one_dataset_at_two_positions(monkeypatch):
@@ -141,7 +141,7 @@ def test_one_dataset_at_two_positions(monkeypatch):
     for a, b in ((fit, fit_c), (dfit, dfit_c)):
         assert np.array_equal(a.pooled_coef, b.pooled_coef)
         assert np.array_equal(a.coef, b.coef)
-        assert a.source_set == b.source_set
+        assert list(a.decompositions) == list(b.decompositions) == [0, 1, 2]
     assert np.array_equal(report.source_losses, report_c.source_losses)
     assert report.target_loss == report_c.target_loss
     assert report.selected == report_c.selected == (1, 2)
@@ -413,6 +413,35 @@ def test_detection_matches_fold_major_cold_starts(monkeypatch, mode, seed, folds
         assert alone == report.source_losses[k] == report.fold_source_losses[:, k].mean()
 
 
+@pytest.mark.parametrize("mode", [MODE_FARM, MODE_LASSO])
+def test_detection_holds_one_source_piece_at_a_time(monkeypatch, mode):
+    # each source's Gram piece, kept or dropped, is gone before the next
+    # source's is formed; a kept one lives on only inside the pooled sum
+    beta = sparse_beta(20, 2)
+    target = make_dataset(80, 20, beta, seed=60)
+    sources = [
+        make_dataset(70, 20, beta + shift, seed=61 + k)
+        for k, shift in enumerate([0.0, 10.0, 0.0, 10.0])
+    ]
+    real = transfarm.transfer.gram_piece
+    refs, alive = [], []
+
+    def formed(z, r, name="block"):
+        source = name.startswith("source ")
+        if source:
+            alive.append(sum(ref() is not None for ref in refs))
+        piece = real(z, r, name)
+        if source:
+            refs.append(weakref.ref(piece))
+        return piece
+
+    monkeypatch.setattr(transfarm.transfer, "gram_piece", formed)
+    report = detect_sources(target, sources, TransferConfig(mode=mode, rank=1))
+    assert report.selected == (1, 3)
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+
+
 def test_detection_needs_enough_rows():
     beta = sparse_beta(8, 1)
     tiny = make_dataset(5, 8, beta, seed=40)
@@ -465,8 +494,8 @@ def fresh(datasets):
 def assert_same_fit(a, b):
     for name in ("pooled_coef", "correction_coef", "coef"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    assert (a.source_set, a.lambda_pooled, a.lambda_correction) == (
-        b.source_set, b.lambda_pooled, b.lambda_correction
+    assert (list(a.decompositions), a.lambda_pooled, a.lambda_correction) == (
+        list(b.decompositions), b.lambda_pooled, b.lambda_correction
     )
 
 
